@@ -156,11 +156,6 @@ def bench_serve(
     regressions are visible even when wall time is not the symptom.
     Any acknowledged-write loss or replica divergence turns up in
     ``oracle_failures`` and fails the gate outright.
-
-    The ``parallel-seq``/``parallel-w4`` pair times the same 8-shard
-    run under ``--workers 0`` and ``--workers 4`` and asserts the two
-    reports are byte-identical; ``parallel_speedup`` is their
-    wall-clock ratio on this host.
     """
     import time
 
@@ -215,49 +210,12 @@ def bench_serve(
             cell["promotions"] = report.promotions
         cells[f"serve/{cell_name}"] = cell
         failures.extend(report.oracle_failures)
-    # Parallel engine cells: the same 8-shard run sequentially and on a
-    # 4-worker pool.  The reports must be byte-identical (the engine's
-    # whole contract); the wall-clock ratio is the parallel speedup on
-    # this host — ~Wx on a real W-core box, below 1x on a single core
-    # where the pool only adds fork+pipe overhead (see docs/internals.md).
-    from repro.serve import EngineConfig
-
-    wide = base.replace(shards=8)
-    parallel_speedup = None
-    seq_payload = None
-    for cell_name, workers in (("parallel-seq", 0), ("parallel-w4", 4)):
-        t0 = time.perf_counter()
-        report = run_serve(wide, engine=EngineConfig(workers=workers))
-        elapsed = time.perf_counter() - t0
-        payload = json.dumps(report.to_dict(), sort_keys=True)
-        if workers == 0:
-            seq_payload = payload
-        elif payload != seq_payload:
-            failures.append(
-                "parallel serve report diverged from sequential "
-                "(bit-identity contract broken)"
-            )
-        else:
-            parallel_speedup = round(
-                cells["serve/parallel-seq"]["seconds"] / elapsed, 2
-            )
-        cells[f"serve/{cell_name}"] = {
-            "seconds": round(elapsed, 4),
-            "source": "computed",
-            "workers": workers,
-            "requests_per_s": round(report.requests_per_s, 1),
-            "p99_latency_ns": report.latency["p99"],
-            "acked": report.acked_puts + report.acked_gets,
-            "kills": report.kills,
-        }
-        failures.extend(report.oracle_failures)
     return {
         "schema": SCHEMA_VERSION,
         "seed": seed,
         "rate_per_s": rate_per_s,
         "duration_ms": duration_ms,
         "python": platform.python_version(),
-        "parallel_speedup": parallel_speedup,
         "oracle_failures": failures,
         "cells": cells,
     }

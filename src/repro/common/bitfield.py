@@ -109,9 +109,9 @@ class BitStruct:
         }
 
 
-# -- snapshot/wire declarations -----------------------------------------------
-# Layouts are immutable after construction: clones and wire transfers
-# may share them freely.
+# -- snapshot declarations ----------------------------------------------------
+# Layouts are immutable after construction: clones may share them
+# freely.
 Field.__snapshot_state__ = "__shared__"
 BitStruct.__snapshot_state__ = "__shared__"
 

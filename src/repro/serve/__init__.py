@@ -20,18 +20,15 @@ storage service needs:
 * :mod:`~repro.serve.shard` — the shard executor: one shard's
   deterministic event loop (admission, batching, mid-traffic
   primary/backup kills, crash/recover/promote failover);
-* :mod:`~repro.serve.cluster` — the coordinator: N shard executors
-  advanced in lock-step simulated-time epochs;
-* :mod:`~repro.serve.engine` — the execution engine: the epoch driver
-  plus an optional multi-process worker pool (``--workers W``) that is
-  bit-identical to sequential execution.
+* :mod:`~repro.serve.cluster` — the coordinator and the run's only
+  driver: N shard executors advanced in-process in lock-step
+  simulated-time epochs.
 
-Run it: ``python -m repro.serve --shards 4 --kill-shard 1``, with
+Run it: ``python -m repro.serve --shards 4 --kill-shard 1``, or with
 replication: ``python -m repro.serve --replicas 1
---kill-primary-at-ms 6``, or in parallel: ``python -m repro.serve
---shards 8 --workers 4``.  Everything is simulated time — a run is a
+--kill-primary-at-ms 6``.  Everything is simulated time — a run is a
 pure function of its :class:`ServeConfig`, bit-identical across
-replays, harness parallelism, and worker counts.
+replays, harness parallelism, and epoch quanta.
 """
 
 from __future__ import annotations
@@ -41,7 +38,6 @@ from typing import Dict, List, Optional
 
 from repro.common.errors import ConfigError
 from repro.serve.cluster import ServeCluster
-from repro.serve.engine import EngineConfig
 from repro.telemetry.hub import Telemetry
 from repro.telemetry.metrics import Log2Histogram
 
@@ -133,6 +129,24 @@ class ServeConfig:
             raise ConfigError("keyspace must be positive")
         if not 0.0 <= self.read_fraction <= 1.0:
             raise ConfigError("read_fraction must be within [0, 1]")
+        # The deeper layers check these too, but only once the run is
+        # under way; the messages are theirs.
+        if not 0.0 < self.zipf_theta < 1.0:
+            raise ConfigError("theta must be in (0, 1)")
+        if self.clients <= 0:
+            raise ConfigError("need at least one client")
+        if self.rate_per_s <= 0:
+            raise ConfigError("client rate must be positive")
+        if self.duration_ms <= 0:
+            raise ConfigError("duration must be positive")
+        if self.batch_size <= 0:
+            raise ConfigError("batch size must be positive")
+        if self.queue_depth <= 0:
+            raise ConfigError("queue depth must be positive")
+        if self.batch_wait_us < 0:
+            raise ConfigError("batch wait must be non-negative")
+        if self.recovery_threads < 1:
+            raise ConfigError("recovery needs at least one thread")
         if self.kill_shard is not None and not (
             0 <= self.kill_shard < self.shards
         ):
@@ -193,21 +207,16 @@ class ServeReport:
 def run_serve(
     cfg: ServeConfig,
     *,
-    engine: Optional[EngineConfig] = None,
     telemetry: Optional[Telemetry] = None,
 ) -> ServeReport:
     """Build a cluster from ``cfg``, run it to completion, report.
 
-    ``engine`` selects *how* the run executes
-    (:class:`~repro.serve.engine.EngineConfig`; default in-process,
-    ``workers > 0`` fans the shards out over a lock-step worker pool)
-    without changing a byte of the report.  Pass a
-    :class:`~repro.telemetry.hub.Telemetry` hub to keep it (for
+    Pass a :class:`~repro.telemetry.hub.Telemetry` hub to keep it (for
     Perfetto export of the serve track); otherwise the cluster makes
     its own, and the report carries the latency digests either way.
     """
     cluster = ServeCluster(cfg, telemetry=telemetry)
-    cluster.run(engine)
+    cluster.run()
     hub = cluster.telemetry
     makespan = cluster.last_completion_ns
     acked = cluster.acked_puts + cluster.acked_gets
@@ -217,8 +226,8 @@ def run_serve(
         for replica in group.replicas
     )
     # The report's latency digest merges the per-shard single-writer
-    # histograms in shard order — the same construction under any
-    # worker count, hence bit-identical sequential vs parallel.
+    # histograms in shard order, so its float total and mean are the
+    # same whatever epoch quantum drove the run.
     latency = Log2Histogram()
     per_shard = {}
     for shard_id, group in sorted(cluster.groups.items()):
@@ -279,14 +288,13 @@ def run_serve(
     )
 
 
-# -- snapshot/wire declarations -----------------------------------------------
+# -- snapshot declarations ----------------------------------------------------
 # Frozen config: every executor's copy is the same immutable object.
 ServeConfig.__snapshot_state__ = "__shared__"
 
 
 __all__ = [
     "SERVABLE_SCHEMES",
-    "EngineConfig",
     "ServeConfig",
     "ServeReport",
     "run_serve",

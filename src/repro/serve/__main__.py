@@ -11,7 +11,8 @@ Usage::
                           [--batch-size 8] [--batch-wait-us 50]
                           [--queue-depth 64] [--read-fraction 0.25]
                           [--value-bytes 64] [--keyspace 4096]
-                          [--seed 7] [--out report.json]
+                          [--seed 7] [--profile prof.txt]
+                          [--out report.json]
 
 The run is entirely simulated time and fully deterministic in its
 arguments.  ``--kill-shard`` injects a power cut on one shard
@@ -26,14 +27,6 @@ kills a backup mid-ship (serving never stalls), and
 The exit code is nonzero if any acknowledged write was lost or any two
 live replicas' durable keyspaces diverged — the things a serving layer
 may never do.
-
-``--workers W`` executes the same run on a pool of W worker processes
-advancing the shards in lock-step epochs (see
-:mod:`repro.serve.engine`); the report is bit-identical to
-``--workers 0``, which CI diffs on every push.  ``--kill-worker-at
-W:E`` is the recovery smoke: worker W dies hard at epoch E, is
-respawned, and replays from its last checkpoint — again with an
-identical report.
 """
 
 from __future__ import annotations
@@ -42,23 +35,7 @@ import argparse
 import json
 import sys
 
-from repro.serve import (
-    SERVABLE_SCHEMES,
-    EngineConfig,
-    ServeConfig,
-    run_serve,
-)
-
-
-def _parse_kill_worker(text: str):
-    """Parse ``--kill-worker-at W:E`` into ``(worker, epoch)``."""
-    try:
-        worker, epoch = text.split(":")
-        return (int(worker), int(epoch))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(
-            f"expected WORKER:EPOCH (e.g. 1:3), got {text!r}"
-        ) from exc
+from repro.serve import SERVABLE_SCHEMES, ServeConfig, run_serve
 
 
 def _dump_profile(profiler, path: str) -> str:
@@ -143,26 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip the end-of-run crash+recover oracle sweep",
     )
     parser.add_argument(
-        "--workers", type=int, default=0,
-        help="worker processes (0 = in-process; result is bit-identical"
-        " either way)",
-    )
-    parser.add_argument(
-        "--epoch-us", type=float, default=1000.0,
-        help="lock-step epoch quantum past each global horizon,"
-        " simulated us (default 1000)",
-    )
-    parser.add_argument(
-        "--checkpoint-every", type=int, default=8,
-        help="worker checkpoint cadence in epochs (default 8)",
-    )
-    parser.add_argument(
-        "--kill-worker-at", type=_parse_kill_worker, default=None,
-        metavar="W:E",
-        help="fault injection: worker W dies hard at epoch E and must"
-        " recover from its checkpoint (needs --workers > W)",
-    )
-    parser.add_argument(
         "--profile", default=None, metavar="PATH",
         help="cProfile the run; top functions by cumulative time are"
         " written to PATH",
@@ -202,19 +159,13 @@ def main(argv=None) -> int:
         kill_backup_at_ms=args.kill_backup_at_ms,
         double_kill_at_ms=args.double_kill_at_ms,
     )
-    engine = EngineConfig(
-        workers=args.workers,
-        epoch_us=args.epoch_us,
-        checkpoint_every=args.checkpoint_every,
-        kill_worker_at=args.kill_worker_at,
-    )
     profiler = None
     if args.profile:
         import cProfile
 
         profiler = cProfile.Profile()
         profiler.enable()
-    report = run_serve(cfg, engine=engine)
+    report = run_serve(cfg)
     if profiler is not None:
         profiler.disable()
         print(f"  profile -> {_dump_profile(profiler, args.profile)}")

@@ -139,6 +139,6 @@ class AdmissionController:
         return len(self.queues[shard])
 
 
-# -- snapshot/wire declarations -----------------------------------------------
+# -- snapshot declarations ----------------------------------------------------
 # Queues of in-flight requests travel by value with their executor.
 AdmissionController.__snapshot_state__ = "__all__"

@@ -56,6 +56,6 @@ class BatchScheduler:
         return batch
 
 
-# -- snapshot/wire declarations -----------------------------------------------
+# -- snapshot declarations ----------------------------------------------------
 # A stateless policy over two scalar knobs.
 BatchScheduler.__snapshot_state__ = "__atoms__"

@@ -158,12 +158,12 @@ class ArrivalStream:
 
     The stream defines the *global arrival order* — ``(arrival_ns,
     client_id)`` — and stamps each request's shard as it is popped, so
-    both execution modes consume byte-identical per-shard request
-    sequences: the sequential driver and the parallel engine each pull
-    from one ArrivalStream on the coordinator and hand requests to
-    shard executors in this order.  (Two clients never tie in practice
-    — arrival instants are continuous exponentials — but the client-id
-    tiebreak makes even that case deterministic.)
+    every epoch quantum yields byte-identical per-shard request
+    sequences: the cluster's driver pulls from one ArrivalStream and
+    hands requests to shard executors in this order.  (Two clients
+    never tie in practice — arrival instants are continuous
+    exponentials — but the client-id tiebreak makes even that case
+    deterministic.)
     """
 
     __slots__ = ("_clients", "_router", "_heap")
@@ -227,8 +227,9 @@ def make_clients(
     }
 
 
-# -- snapshot/wire declarations -----------------------------------------------
+# -- snapshot declarations ----------------------------------------------------
 # Requests are scalar-only records (bytes values are immutable), clients
-# are plain attribute bags with RNG streams the engine knows how to fork.
+# are plain attribute bags with RNG streams the clone engine knows how
+# to fork.
 Request.__snapshot_state__ = "__atoms__"
 OpenLoopClient.__snapshot_state__ = "__all__"

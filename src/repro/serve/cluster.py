@@ -10,18 +10,15 @@ shard's admission queue, batch policy, acked-write oracle slice, and
 failover state machines.  Everything runs in *simulated* time and a
 run is a pure function of the config and seed.
 
-PR 9 split the old single event loop into coordinator + shard-local
-stepping.  The cluster no longer pops individual events; it drives
-lock-step *epochs* (:func:`repro.serve.engine.drive`): each round it
-computes the next global event horizon — the min over every shard's
-next-event clock and the next client arrival — routes the arrivals due
-by that horizon (in the canonical ``(arrival_ns, client_id)`` order of
+The cluster does not pop individual events; :meth:`ServeCluster.run`
+drives lock-step *epochs*: each round it computes the next global event
+horizon — the min over every shard's next-event clock and the next
+client arrival — plus one epoch quantum, routes the arrivals due by
+that horizon (in the canonical ``(arrival_ns, client_id)`` order of
 :class:`~repro.serve.client.ArrivalStream`), and advances every shard
-executor to the horizon.  Because shards share nothing and each
-shard's internal event order is a total order independent of epoch
-boundaries, the outcome is bit-identical whether the executors advance
-in-process (``workers=0``) or on a pool of worker processes
-(``--workers W`` — see :mod:`repro.serve.engine`).
+executor to the horizon in shard order.  Because shards share nothing
+and each shard's internal event order is a total order independent of
+epoch boundaries, the quantum never changes a byte of the report.
 
 Failover semantics (armed deadline power cuts, crash/recover/verify,
 lease-expiry promotion, rejoin catch-up, divergence fingerprints) are
@@ -32,8 +29,11 @@ and report vocabulary.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional
 
+from repro.common.errors import ConfigError
+from repro.serve.client import ArrivalStream, make_clients
 from repro.serve.replica import (
     GROUP_RECOVERING,
     GROUP_UP,
@@ -47,6 +47,9 @@ from repro.telemetry.hub import Telemetry
 # the strings are part of the telemetry/report vocabulary.
 UP = GROUP_UP
 RECOVERING = GROUP_RECOVERING
+
+# Default lock-step quantum past each global horizon, simulated µs.
+EPOCH_US = 1000.0
 
 
 class ServeCluster:
@@ -95,17 +98,52 @@ class ServeCluster:
 
     # -- the run --------------------------------------------------------------
 
-    def run(self, engine=None) -> None:
+    def run(self, epoch_us: Optional[float] = None) -> None:
         """Drive the whole open-loop run to completion (queues drained).
 
-        ``engine`` is an optional
-        :class:`~repro.serve.engine.EngineConfig`; the default runs the
-        executors in-process, ``workers > 0`` fans them out over a
-        lock-step worker pool with a bit-identical result.
+        Each round advances every shard to the global horizon plus one
+        quantum of ``epoch_us`` simulated µs (default :data:`EPOCH_US`);
+        the quantum sets how many rounds a run takes, never its result.
         """
-        from repro.serve.engine import EngineConfig, drive
-
-        drive(self, engine if engine is not None else EngineConfig())
+        quantum_ns = (EPOCH_US if epoch_us is None else epoch_us) * 1e3
+        if quantum_ns <= 0:
+            raise ConfigError("epoch_us must be positive")
+        cfg = self.cfg
+        clients = make_clients(
+            cfg.clients,
+            aggregate_rate_per_s=cfg.rate_per_s,
+            duration_ns=cfg.duration_ms * 1e6,
+            keyspace=cfg.keyspace,
+            value_bytes=cfg.value_bytes,
+            read_fraction=cfg.read_fraction,
+            zipf_theta=cfg.zipf_theta,
+            seed=cfg.seed,
+        )
+        stream = ArrivalStream(clients, self.router)
+        executors = self.sorted_executors()
+        for executor in executors:
+            executor.arm_kills()
+        epochs = 0
+        while True:
+            floor_ns = min(
+                stream.peek_ns(),
+                min(executor.next_event_ns() for executor in executors),
+            )
+            if floor_ns == math.inf:
+                break  # no arrivals left, every shard heap drained
+            horizon = floor_ns + quantum_ns
+            arrivals: Dict[int, list] = {}
+            for request in stream.take_until(horizon):
+                arrivals.setdefault(request.shard, []).append(request)
+            epochs += 1
+            for executor in executors:
+                for request in arrivals.get(executor.shard_id, ()):
+                    executor.submit(request)
+                executor.advance_to(horizon)
+        self.epochs = epochs
+        if cfg.verify_final:
+            for executor in executors:
+                executor.final_verify()
 
     # -- aggregates (summed over executors in shard order) ---------------------
 

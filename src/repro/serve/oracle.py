@@ -115,7 +115,7 @@ class AckOracle:
         return None
 
 
-# -- snapshot/wire declarations -----------------------------------------------
+# -- snapshot declarations ----------------------------------------------------
 # The acked-word maps are promises in flight: they travel by value with
 # their shard executor.
 AckOracle.__snapshot_state__ = "__all__"

@@ -902,10 +902,10 @@ class ReplicationGroup:
         return self.divergence_of(self.live_projections())
 
 
-# -- snapshot/wire declarations -----------------------------------------------
+# -- snapshot declarations ----------------------------------------------------
 # A group (machines, logs, volatile mirrors, fault state) is deep state:
-# everything travels by value when a group is wired between processes or
-# cloned; only the telemetry hub is shared/substituted.
+# everything is copied by value when a group is cloned; only the
+# telemetry hub is shared.
 Replica.__snapshot_state__ = "__all__"
 ReplicationGroup.__snapshot_state__ = "__all__"
 ShipOutcome.__snapshot_state__ = "__all__"

@@ -88,6 +88,6 @@ class ConsistentHashRouter:
         return owned
 
 
-# -- snapshot/wire declarations -----------------------------------------------
+# -- snapshot declarations ----------------------------------------------------
 # The ring is immutable after construction (pure function of config).
 ConsistentHashRouter.__snapshot_state__ = "__shared__"

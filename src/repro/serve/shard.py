@@ -18,18 +18,16 @@ epoch-bounded stepping API the coordinator drives:
 
 Shards share nothing (each group's keys, machines, fault seeds, and
 RNG streams are derived per shard), so a cluster run is the same
-computation whether the executors are advanced interleaved on one
-event loop, round-robin in epochs, or on worker processes — which is
-the whole basis of the parallel engine's bit-identical claim
-(:mod:`repro.serve.engine`).
+computation however the coordinator slices simulated time into
+epochs (:meth:`repro.serve.cluster.ServeCluster.run`).
 
-Event ordering within a shard is total and mode-independent: the heap
+Event ordering within a shard is total and epoch-independent: the heap
 key is ``(time_ns, kind, seq)`` with arrivals ordered before wakes at
 the same instant, and ``seq`` a per-shard monotone counter.  Arrivals
 are always submitted in the canonical global arrival order
 (:class:`~repro.serve.client.ArrivalStream`), so per-shard sequence
-numbers — and therefore every tie-break — are identical in every
-execution mode.
+numbers — and therefore every tie-break — are identical for every
+epoch quantum.
 """
 
 from __future__ import annotations
@@ -175,16 +173,6 @@ class ShardExecutor:
             backup.system.device.injector.arm_power_loss_at(
                 cfg.kill_backup_at_ms * 1e6, torn=cfg.torn_kill
             )
-
-    def progress(self) -> Dict[str, int]:
-        """Cumulative ack/batch counters (the per-epoch worker reply)."""
-        return {
-            "offered": self.offered,
-            "admitted": self.admitted,
-            "acked_puts": self.acked_puts,
-            "acked_gets": self.acked_gets,
-            "batches": self.batches,
-        }
 
     # -- admission ------------------------------------------------------------
 
@@ -632,8 +620,7 @@ class ShardExecutor:
                 )
 
 
-# -- snapshot/wire declarations -----------------------------------------------
-# An executor is the unit the parallel engine places on (and migrates
-# between) workers: everything it owns travels by value except the
-# telemetry hub, which the wire layer swaps for the receiver's.
+# -- snapshot declarations ----------------------------------------------------
+# An executor's state is all its own: a clone copies everything by
+# value except the shared telemetry hub.
 ShardExecutor.__snapshot_state__ = "__all__"

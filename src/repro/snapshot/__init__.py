@@ -8,7 +8,9 @@ streams — so a boundary replay can start from the nearest checkpoint and
 execute only the residual suffix.  The hard contract (enforced by the
 round-trip tests) is that restore-then-run is **bit-identical** to a
 cold rerun: same content fingerprint, same stats, same sanitizer
-verdicts.
+verdicts.  The serving layer copies state the same way, within one
+process: a replication group's live projections are
+:func:`clone_state` copies of its replicas' machines.
 
 Design: a typed deep-clone engine, much faster than :func:`copy.deepcopy`
 because every class declares its snapshot behaviour up front:
@@ -75,9 +77,6 @@ __all__ = [
     "checkpoint_cadence",
     "unregistered_classes",
     "reset_unregistered",
-    "to_wire",
-    "from_wire",
-    "WireError",
 ]
 
 # Types shared without memoization: immutable, identity-irrelevant.
@@ -478,6 +477,3 @@ def restore(snapshot: Snapshot) -> Any:
     """Module-level convenience for ``snapshot.restore()``."""
     return snapshot.restore()
 
-
-# Bottom import: wire.py reuses this module's _UNREGISTERED tripwire.
-from repro.snapshot.wire import WireError, from_wire, to_wire  # noqa: E402

@@ -142,9 +142,11 @@ class Telemetry(NullTelemetry):
     # -- counters & histograms ------------------------------------------------
 
     def count(self, name: str, n: float = 1) -> None:
+        """Add ``n`` to the named counter (created at zero)."""
         self.counters[name] = self.counters.get(name, 0) + n
 
     def hist(self, name: str) -> Log2Histogram:
+        """Get-or-create the named latency histogram."""
         histogram = self.histograms.get(name)
         if histogram is None:
             histogram = Log2Histogram()
@@ -152,6 +154,7 @@ class Telemetry(NullTelemetry):
         return histogram
 
     def record(self, name: str, value: float) -> None:
+        """Fold one sample into the named histogram."""
         self.hist(name).record(value)
 
     def series(self, name: str) -> EpochSeries:
@@ -186,64 +189,6 @@ class Telemetry(NullTelemetry):
 
     def add_write_traffic(self, ts_ns: float, nbytes: int) -> None:
         self.write_traffic_series.add(ts_ns, nbytes)
-
-    # -- cross-process merge --------------------------------------------------
-    # The parallel serve engine runs one hub per worker process and
-    # folds their observations back into the coordinator's hub: events
-    # are drained per epoch (so worker memory stays bounded and the
-    # master timeline interleaves deterministically in shard order),
-    # metric sinks are exported once at completion and merged — names
-    # with exactly one writer (per-shard "shardN/…" sinks) by adoption,
-    # everything else additively.
-
-    def drain_events(self) -> List[Event]:
-        """Take and clear the buffered events (cross-process shipping)."""
-        events, self.events = self.events, []
-        return events
-
-    def absorb_events(self, events: List[Event]) -> None:
-        """Append shipped events, honouring this hub's own bound."""
-        for event in events:
-            if len(self.events) >= self.max_events:
-                self.dropped_events += 1
-            else:
-                self.events.append(event)
-
-    def export_metrics(self) -> dict:
-        """Picklable snapshot of every metric sink (not the events)."""
-        return {
-            "counters": dict(self.counters),
-            "histograms": dict(self.histograms),
-            "commit_series": self.commit_series,
-            "write_traffic_series": self.write_traffic_series,
-            "named_series": dict(self.named_series),
-            "dropped_events": self.dropped_events,
-        }
-
-    def merge_metrics(self, exported: dict, *, adopt=None) -> None:
-        """Fold a worker hub's exported sinks into this hub.
-
-        ``adopt`` is a predicate over sink names: a matching histogram
-        or series is taken wholesale (correct — and exactly
-        reproducible, float for float — when exactly one process ever
-        wrote it, as with per-shard sinks); non-matching sinks merge
-        additively and counters always add.
-        """
-        for name, n in exported["counters"].items():
-            self.counters[name] = self.counters.get(name, 0) + n
-        for name, histogram in exported["histograms"].items():
-            if adopt is not None and adopt(name):
-                self.histograms[name] = histogram
-            else:
-                self.hist(name).merge(histogram)
-        self.commit_series.merge(exported["commit_series"])
-        self.write_traffic_series.merge(exported["write_traffic_series"])
-        for name, series in exported["named_series"].items():
-            if adopt is not None and adopt(name):
-                self.named_series[name] = series
-            else:
-                self.series(name).merge(series)
-        self.dropped_events += exported["dropped_events"]
 
     # -- lifecycle ------------------------------------------------------------
 

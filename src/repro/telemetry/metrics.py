@@ -54,6 +54,7 @@ class Log2Histogram:
         return (float(2 ** (index - 1)), float(2 ** index))
 
     def record(self, value: float) -> None:
+        """Count one sample (negatives clamp to 0) in its bucket."""
         if value < 0:
             value = 0.0
         self.buckets[self.bucket_index(value)] += 1
@@ -99,9 +100,8 @@ class Log2Histogram:
         is associative over bucket counts and extrema, so any merge
         order yields the same percentiles — and merging single-writer
         histograms in a fixed (shard) order also makes the float
-        ``total``/``mean`` deterministic, which is what lets the serve
-        report stay byte-identical between sequential and parallel
-        execution.
+        ``total``/``mean`` deterministic, which is what keeps the serve
+        report's latency digest byte-identical from run to run.
         """
         buckets = self.buckets
         for index, n in enumerate(other.buckets):
@@ -149,6 +149,7 @@ class EpochSeries:
         self.values: List[float] = []
 
     def add(self, ts_ns: float, value: float = 1.0) -> None:
+        """Fold ``value`` into the epoch holding ``ts_ns``."""
         index = int(ts_ns // self.epoch_ns) if ts_ns > 0 else 0
         while index >= self.max_epochs:
             self._coalesce()
@@ -164,21 +165,6 @@ class EpochSeries:
             pair = self.values[i : i + 2]
             merged.append(sum(pair))
         self.values = merged
-
-    def merge(self, other: "EpochSeries") -> None:
-        """Fold another series into this one, aligning resolutions.
-
-        This series first coalesces until its ``epoch_ns`` is at least
-        the other's (both only ever double, so they always align);
-        every source epoch then lands wholly inside one destination
-        epoch.  Zero-valued source epochs are folded too, so the merged
-        epoch count matches what direct accumulation would have
-        produced.
-        """
-        while self.epoch_ns < other.epoch_ns:
-            self._coalesce()
-        for index, value in enumerate(other.values):
-            self.add(index * other.epoch_ns, value)
 
     @property
     def total(self) -> float:

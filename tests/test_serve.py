@@ -1,6 +1,7 @@
 """The serving layer: routing, admission, batching, failover, oracle."""
 
 import json
+import re
 
 import pytest
 
@@ -16,6 +17,7 @@ from repro.serve.admission import (
 )
 from repro.serve.batcher import BatchScheduler
 from repro.serve.client import OP_GET, OP_PUT, OpenLoopClient, make_clients
+from repro.serve.cluster import EPOCH_US, ServeCluster
 from repro.serve.router import ConsistentHashRouter, stable_hash
 
 
@@ -219,6 +221,22 @@ class TestClients:
                          zipf_theta=0.9, seed=0)
 
 
+# Fields that used to pass ServeConfig and then fail mid-run, with the
+# message the deeper layer raises.
+BAD_FIELDS = [
+    ("zipf_theta", 0.0, "theta must be in (0, 1)"),
+    ("zipf_theta", 1.0, "theta must be in (0, 1)"),
+    ("clients", 0, "need at least one client"),
+    ("rate_per_s", 0.0, "client rate must be positive"),
+    ("rate_per_s", -1.0, "client rate must be positive"),
+    ("duration_ms", 0.0, "duration must be positive"),
+    ("batch_size", 0, "batch size must be positive"),
+    ("queue_depth", 0, "queue depth must be positive"),
+    ("batch_wait_us", -1.0, "batch wait must be non-negative"),
+    ("recovery_threads", 0, "recovery needs at least one thread"),
+]
+
+
 class TestConfig:
     def test_rejects_native(self):
         with pytest.raises(ConfigError):
@@ -236,6 +254,15 @@ class TestConfig:
         cfg = tiny_cfg()
         with pytest.raises(ConfigError):
             cfg.replace(shards=0)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        BAD_FIELDS,
+        ids=[f"{field}={value}" for field, value, _ in BAD_FIELDS],
+    )
+    def test_rejects_out_of_range_fields_up_front(self, field, value, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            tiny_cfg(**{field: value})
 
 
 class TestEndToEnd:
@@ -330,6 +357,52 @@ class TestEndToEnd:
         payload = report.to_dict()
         clone = ServeReport(**payload)
         assert clone.to_dict() == payload
+
+
+class TestEpochDriver:
+    @staticmethod
+    def _run(cfg, epoch_us, monkeypatch):
+        """One run_serve report with the cluster driven at ``epoch_us``."""
+        original = ServeCluster.run
+        clusters = []
+
+        def run(cluster, _epoch_us=None):
+            clusters.append(cluster)
+            original(cluster, epoch_us=epoch_us)
+
+        monkeypatch.setattr(ServeCluster, "run", run)
+        payload = run_serve(cfg).to_dict()
+        monkeypatch.setattr(ServeCluster, "run", original)
+        return payload, clusters[0].epochs
+
+    def test_epoch_quantum_does_not_change_the_result(self, monkeypatch):
+        # Epoch boundaries partition each shard's event order without
+        # reordering it — any quantum must yield the same bytes, on a
+        # clean run and across a replicated primary kill.
+        for overrides in (
+            {},
+            dict(replicas=1, kill_primary_at_ms=2.0, duration_ms=6.0),
+        ):
+            cfg = tiny_cfg(shards=4, **overrides)
+            runs = {
+                epoch_us: self._run(cfg, epoch_us, monkeypatch)
+                for epoch_us in (100.0, 1000.0, 5000.0)
+            }
+            payloads = [payload for payload, _ in runs.values()]
+            assert payloads[0] == payloads[1] == payloads[2]
+            # ...while the quantum really did change how the run was cut.
+            assert runs[100.0][1] > runs[5000.0][1]
+
+    def test_default_quantum_is_the_module_constant(self, monkeypatch):
+        cfg = tiny_cfg()
+        cluster = ServeCluster(cfg)
+        cluster.run()
+        _, epochs = self._run(cfg, EPOCH_US, monkeypatch)
+        assert cluster.epochs == epochs
+
+    def test_rejects_nonpositive_quantum(self):
+        with pytest.raises(ConfigError):
+            ServeCluster(tiny_cfg()).run(epoch_us=0.0)
 
 
 class TestRunBatchSurface:

@@ -269,8 +269,8 @@ class TestEnvKnobs:
             assert snapshot.checkpoint_cadence(8) == 8
 
 
-class TestWireRoundTrip:
-    """to_wire/from_wire: a mid-traffic replication group travels whole."""
+class TestCloneRoundTrip:
+    """clone_state: a mid-traffic replication group copies whole."""
 
     def _mid_traffic_group(self):
         from repro.serve.replica import ReplicationGroup
@@ -294,23 +294,25 @@ class TestWireRoundTrip:
         return group
 
     def test_mid_traffic_group_round_trips_and_continues(self):
-        from repro.serve.replica import keyspace_fingerprint
-        from repro.snapshot import to_wire, from_wire
-        from repro.telemetry.hub import Telemetry
-
         group = self._mid_traffic_group()
         backup = group.backups()[0]
         assert backup.tail, "setup must leave an unapplied backup tail"
-        # Pending fault arming must survive the wire: a deadline cut on
+        # Pending fault arming must survive the clone: a deadline cut on
         # the primary and a nested recovery budget on one backup (both
         # far enough out that the continuation below never trips them —
         # a tripped budget tears the ship mid-batch by design).
         group.primary.system.device.injector.arm_power_loss_at(1e12)
         backup.system.device.injector.arm_recovery_fault(after_ops=500)
 
-        clone = from_wire(to_wire(group), telemetry=Telemetry())
+        snapshot.reset_unregistered()
+        clone = clone_state(group)
+        assert snapshot.unregistered_classes() == frozenset()
 
         cb = clone.backups()[0]
+        assert cb.system is not backup.system
+        primary_injector = clone.primary.system.device.injector
+        assert primary_injector is not group.primary.system.device.injector
+        assert primary_injector._deadline_ns == 1e12
         assert cb.shipped_seq == backup.shipped_seq
         assert cb.applied_seq == backup.applied_seq
         assert cb.tail == backup.tail
@@ -330,23 +332,3 @@ class TestWireRoundTrip:
         assert {
             i: r.fingerprint() for i, r in enumerate(clone.replicas)
         } == {i: r.fingerprint() for i, r in enumerate(group.replicas)}
-
-    def test_wire_blobs_are_deterministic_and_checked(self):
-        from repro.snapshot import WireError, to_wire, from_wire
-
-        group = self._mid_traffic_group()
-        assert to_wire(group) == to_wire(group)
-        with pytest.raises(WireError):
-            from_wire(b"NOPE" + to_wire(group)[4:])
-
-    def test_wire_trips_the_unregistered_tripwire(self):
-        from repro.snapshot import (
-            reset_unregistered,
-            to_wire,
-            unregistered_classes,
-        )
-
-        reset_unregistered()
-        self._mid_traffic_group()  # serve classes all declare state
-        to_wire(self._mid_traffic_group())
-        assert unregistered_classes() == frozenset()

@@ -7,8 +7,8 @@ policy, the acked-write oracle slice, the wake heap, and every
 failover/promotion/rejoin state machine — and exposes exactly the
 epoch-bounded stepping API the coordinator drives:
 
-* :meth:`ShardExecutor.submit` — hand over a routed arrival (pushed as
-  a heap event at its arrival instant, *not* executed yet);
+* :meth:`ShardExecutor.submit` — hand over a routed arrival (queued
+  at its arrival instant, *not* executed yet);
 * :meth:`ShardExecutor.advance_to` — run every queued event up to and
   including a simulated-time horizon;
 * :meth:`ShardExecutor.next_event_ns` — the shard's next event clock,
@@ -21,20 +21,20 @@ RNG streams are derived per shard), so a cluster run is the same
 computation however the coordinator slices simulated time into
 epochs (:meth:`repro.serve.cluster.ServeCluster.run`).
 
-Event ordering within a shard is total and epoch-independent: the heap
-key is ``(time_ns, kind, seq)`` with arrivals ordered before wakes at
-the same instant, and ``seq`` a per-shard monotone counter.  Arrivals
-are always submitted in the canonical global arrival order
-(:class:`~repro.serve.client.ArrivalStream`), so per-shard sequence
-numbers — and therefore every tie-break — are identical for every
-epoch quantum.
+Event ordering within a shard is total and epoch-independent.
+Arrivals come in the canonical global order
+(:class:`~repro.serve.client.ArrivalStream`) and wait in a FIFO; wakes
+sit in a heap of distinct instants; an arrival runs before a wake at
+the same instant.  A repeated wake at a pending instant is dropped: a
+second pump at one instant, with no event between, changes no state.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from typing import Dict, List
+from collections import deque
+from typing import Deque, Dict, List, Set
 
 from repro.common.errors import PowerLossError
 from repro.serve.admission import AdmissionController, RetryableRejection
@@ -52,13 +52,6 @@ from repro.serve.replica import (
     ReplicationGroup,
 )
 from repro.txn.system import MemorySystem
-
-# Event kinds: a routed client arrival, or a shard wake-up (batch
-# deadline, busy-until, recovery completion, promotion instant, or a
-# rejoin step — the pump sorts it out).  Arrivals order before wakes at
-# the same instant; the constants are the heap tie-break.
-_ARRIVAL = 0
-_WAKE = 1
 
 
 class ShardExecutor:
@@ -96,49 +89,55 @@ class ShardExecutor:
         self.divergence_checks = 0
         self.oracle_failures: List[str] = []
         self.last_completion_ns = 0.0
-        self._events: List[tuple] = []
-        self._seq = 0
+        # Routed arrivals (a FIFO: they come in time order) and the
+        # distinct pending wake instants (a heap; the pump sorts out why).
+        self._arrivals: Deque[Request] = deque()
+        self._last_arrival_ns = -math.inf
+        self._wakes: List[float] = []
+        self._pending_wakes: Set[float] = set()
         self._double_kill_armed = False
 
     # -- event plumbing -------------------------------------------------------
 
-    def _push(self, time_ns: float, kind: int) -> None:
-        self._seq += 1
-        heapq.heappush(self._events, (time_ns, kind, self._seq, None))
+    def _wake_at(self, time_ns: float) -> None:
+        if time_ns not in self._pending_wakes:
+            self._pending_wakes.add(time_ns)
+            heapq.heappush(self._wakes, time_ns)
 
     def submit(self, request: Request) -> None:
-        """Queue a routed arrival as an event at its arrival instant.
+        """Queue a routed arrival; it runs once a horizon covers it.
 
-        Submission never executes anything: the request waits in the
-        heap until an :meth:`advance_to` horizon covers it, so the
-        per-shard processing order depends only on ``(time, kind,
-        seq)`` — never on when the coordinator handed the request over.
+        Arrivals must come in time order (the FIFO is never re-sorted).
         """
-        self._seq += 1
-        heapq.heappush(
-            self._events, (request.arrival_ns, _ARRIVAL, self._seq, request)
-        )
+        if request.arrival_ns < self._last_arrival_ns:
+            raise ValueError(f"shard {self.shard_id}: out-of-order arrival")
+        self._last_arrival_ns = request.arrival_ns
+        self._arrivals.append(request)
 
     def next_event_ns(self) -> float:
         """This shard's next event clock (``inf`` when drained)."""
-        return self._events[0][0] if self._events else math.inf
+        arrival_ns = (
+            self._arrivals[0].arrival_ns if self._arrivals else math.inf
+        )
+        return min(arrival_ns, self._wakes[0]) if self._wakes else arrival_ns
 
     def advance_to(self, horizon_ns: float) -> None:
-        """Run every event at or before ``horizon_ns``, in heap order.
+        """Run every event at or before a finite ``horizon_ns``, in order.
 
         Events scheduled *during* the advance (batch wakes, promotion
-        instants…) that land within the horizon are executed in the
-        same pass — the loop drains the heap front, not a snapshot of
-        it — so an epoch boundary is never observable from inside the
-        shard.
+        instants…) that land within the horizon run in the same pass,
+        so an epoch boundary is never observable from inside the shard.
+        An arrival runs before a wake at the same instant.
         """
-        events = self._events
-        while events and events[0][0] <= horizon_ns:
-            time_ns, kind, _, payload = heapq.heappop(events)
+        arrivals = self._arrivals
+        while (time_ns := self.next_event_ns()) <= horizon_ns:
             if time_ns > self.now_ns:
                 self.now_ns = time_ns
-            if kind == _ARRIVAL:
-                self._admit(payload)
+            if arrivals and arrivals[0].arrival_ns == time_ns:
+                self._admit(arrivals.popleft())
+            else:
+                heapq.heappop(self._wakes)
+                self._pending_wakes.discard(time_ns)
             self._pump()
 
     def arm_kills(self) -> None:
@@ -232,7 +231,7 @@ class ShardExecutor:
         primary = group.primary
         if primary.clock_ns > self.now_ns + 1e-9:
             # Busy until its clock; re-pump then.
-            self._push(primary.clock_ns, _WAKE)
+            self._wake_at(primary.clock_ns)
             return
         queue = self.admission.queues[self.shard_id]
         if not queue:
@@ -240,7 +239,7 @@ class ShardExecutor:
         if self.batcher.ready(queue, self.now_ns):
             self._execute_batch(group)
         else:
-            self._push(self.batcher.deadline_ns(queue), _WAKE)
+            self._wake_at(self.batcher.deadline_ns(queue))
 
     # -- batch execution ------------------------------------------------------
 
@@ -308,7 +307,7 @@ class ShardExecutor:
                 group.replication_lag(),
             )
         self.batches += 1
-        self._push(primary.clock_ns, _WAKE)
+        self._wake_at(primary.clock_ns)
 
     def _ack(self, group: ReplicationGroup, request: Request) -> None:
         """Acknowledgement instant: count + per-shard latency histogram."""
@@ -375,7 +374,7 @@ class ShardExecutor:
                     "requeued": fitted,
                 },
             )
-            self._push(group.promote_at_ns, _WAKE)
+            self._wake_at(group.promote_at_ns)
         else:
             group.state = GROUP_RECOVERING
             self.telemetry.emit(
@@ -388,7 +387,7 @@ class ShardExecutor:
                     "requeued": fitted,
                 },
             )
-            self._push(recover_at, _WAKE)
+            self._wake_at(recover_at)
 
     def _backup_failover(
         self, group: ReplicationGroup, replica: Replica
@@ -411,7 +410,7 @@ class ShardExecutor:
         recover_at = group.begin_replica_recovery(
             replica, self.now_ns, floor_ns=self.cfg.recovery_floor_ns
         )
-        self._push(recover_at, _WAKE)
+        self._wake_at(recover_at)
 
     def _complete_promotion(self, group: ReplicationGroup) -> None:
         """Lease expired: promote the freshest live backup (or hold).
@@ -428,7 +427,7 @@ class ShardExecutor:
         successor = group.choose_successor()
         if successor is None:
             group.state = GROUP_RECOVERING
-            self._push(old_primary.recover_at_ns, _WAKE)
+            self._wake_at(old_primary.recover_at_ns)
             return
         replayed = len(successor.tail)
         try:
@@ -437,7 +436,7 @@ class ShardExecutor:
             self._backup_failover(group, successor)
             group.state = GROUP_FAILING_OVER
             group.promote_at_ns = self.now_ns
-            self._push(self.now_ns, _WAKE)
+            self._wake_at(self.now_ns)
             return
         self.telemetry.count("serve.promotions")
         self.telemetry.emit(
@@ -483,8 +482,8 @@ class ShardExecutor:
             successor.system.device.injector.arm_power_loss_at(
                 self.cfg.double_kill_at_ms * 1e6, torn=self.cfg.torn_kill
             )
-        self._push(max(self.now_ns, old_primary.recover_at_ns), _WAKE)
-        self._push(successor.clock_ns, _WAKE)
+        self._wake_at(max(self.now_ns, old_primary.recover_at_ns))
+        self._wake_at(successor.clock_ns)
 
     def _complete_recovery(self, group: ReplicationGroup) -> None:
         """Recovery horizon reached: the machine serves again (cold caches)."""
@@ -523,7 +522,7 @@ class ShardExecutor:
                         if group.state == GROUP_FAILING_OVER
                         else group.primary.recover_at_ns
                     )
-                    self._push(max(resume, replica.recover_at_ns), _WAKE)
+                    self._wake_at(max(resume, replica.recover_at_ns))
                     continue
                 replica.state = REJOINING
                 self.telemetry.emit(
@@ -551,7 +550,7 @@ class ShardExecutor:
             self._backup_failover(group, replica)
             return
         if retry_at is not None:
-            self._push(retry_at, _WAKE)
+            self._wake_at(retry_at)
             return
         self.telemetry.count("serve.rejoins")
         self.telemetry.emit(

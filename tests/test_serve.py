@@ -19,6 +19,7 @@ from repro.serve.batcher import BatchScheduler
 from repro.serve.client import OP_GET, OP_PUT, OpenLoopClient, make_clients
 from repro.serve.cluster import EPOCH_US, ServeCluster
 from repro.serve.router import ConsistentHashRouter, stable_hash
+from repro.serve.shard import ShardExecutor
 
 
 def tiny_cfg(**overrides):
@@ -378,18 +379,43 @@ class TestEpochDriver:
     def test_epoch_quantum_does_not_change_the_result(self, monkeypatch):
         # Epoch boundaries partition each shard's event order without
         # reordering it — any quantum must yield the same bytes, on a
-        # clean run and across a replicated primary kill.
-        for overrides in (
-            {},
-            dict(replicas=1, kill_primary_at_ms=2.0, duration_ms=6.0),
-        ):
-            cfg = tiny_cfg(shards=4, **overrides)
+        # clean run, under overload refusals, across a replicated
+        # primary kill, and across a backup kill plus a second kill of
+        # the promoted primary (rejoin paths).
+        cases = (
+            ({}, None),
+            (
+                dict(
+                    shards=1, queue_depth=4, batch_size=2,
+                    rate_per_s=4_000_000.0, duration_ms=1.0,
+                ),
+                lambda p: p["rejected"].get("queue_full", 0) > 0,
+            ),
+            (
+                dict(replicas=1, kill_primary_at_ms=2.0, duration_ms=6.0),
+                lambda p: p["promotions"] == 1,
+            ),
+            (
+                dict(
+                    replicas=2, kill_backup_at_ms=0.5,
+                    kill_primary_at_ms=1.5, double_kill_at_ms=3.0,
+                    duration_ms=6.0,
+                ),
+                lambda p: p["backup_kills"] == 1 and p["promotions"] == 2
+                and p["rejoins"] >= 1,
+            ),
+        )
+        for overrides, exercised in cases:
+            cfg = tiny_cfg(**{"shards": 4, **overrides})
             runs = {
                 epoch_us: self._run(cfg, epoch_us, monkeypatch)
                 for epoch_us in (100.0, 1000.0, 5000.0)
             }
             payloads = [payload for payload, _ in runs.values()]
             assert payloads[0] == payloads[1] == payloads[2]
+            assert payloads[0]["oracle_failures"] == []
+            if exercised is not None:
+                assert exercised(payloads[0]), payloads[0]
             # ...while the quantum really did change how the run was cut.
             assert runs[100.0][1] > runs[5000.0][1]
 
@@ -403,6 +429,55 @@ class TestEpochDriver:
     def test_rejects_nonpositive_quantum(self):
         with pytest.raises(ConfigError):
             ServeCluster(tiny_cfg()).run(epoch_us=0.0)
+
+
+class TestShardEventLoop:
+    def test_submit_rejects_an_out_of_order_arrival(self):
+        from repro.serve.client import Request
+
+        executor = ServeCluster(tiny_cfg(shards=1)).executors[0]
+
+        def request(seq, arrival_ns):
+            return Request(key=seq, op=OP_PUT, value=b"x" * 8, client=0,
+                           seq=seq, arrival_ns=arrival_ns, shard=0)
+
+        executor.submit(request(0, 20.0))
+        executor.submit(request(1, 20.0))  # a tie is in order
+        with pytest.raises(ValueError):
+            executor.submit(request(2, 10.0))
+        assert executor.next_event_ns() == 20.0
+
+    @pytest.mark.parametrize("scheme", ["hoop", "opt-redo"])
+    def test_overload_makes_no_wake_storm(self, scheme, monkeypatch):
+        # Counts, not timings: each arrival pumps once, each batch
+        # requests at most two wakes (busy-until, then the next
+        # deadline), and a pending wake instant is never queued twice.
+        pumps = 0
+        original_pump = ShardExecutor._pump
+        original_advance = ShardExecutor.advance_to
+
+        def pump(executor):
+            nonlocal pumps
+            pumps += 1
+            original_pump(executor)
+
+        def advance_to(executor, horizon_ns):
+            original_advance(executor, horizon_ns)
+            wakes = executor._wakes
+            assert len(wakes) == len(executor._pending_wakes)
+            assert set(wakes) == executor._pending_wakes
+
+        monkeypatch.setattr(ShardExecutor, "_pump", pump)
+        monkeypatch.setattr(ShardExecutor, "advance_to", advance_to)
+        report = run_serve(
+            ServeConfig(
+                shards=1, scheme=scheme, rate_per_s=8_000_000.0,
+                duration_ms=0.5, seed=7,
+            )
+        )
+        assert report.clean
+        assert report.offered > 1000 and report.batches > 100
+        assert pumps <= report.offered + 2 * report.batches + 16
 
 
 class TestRunBatchSurface:

@@ -26,6 +26,7 @@ import sys
 from repro.check.fuzz import fuzz_scheme
 from repro.check.mutant import MUTANT_SCHEME
 from repro.check.oracle import ORACLE_SCHEMES, REAL_SCHEMES, run_check_matrix
+from repro.crashtest import at_least
 
 # Keep the self-test honest and bounded: the mutant must be caught
 # within this many fuzz iterations, with a reproducer this small.
@@ -84,15 +85,15 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument(
-        "--transactions", type=int, default=40,
+        "--transactions", type=at_least(1), default=40,
         help="trace length for the differential matrix",
     )
     parser.add_argument(
-        "--slots", type=int, default=10,
+        "--slots", type=at_least(1), default=10,
         help="distinct 64-byte objects the trace stores into",
     )
     parser.add_argument(
-        "--crash-sample", type=int, default=12,
+        "--crash-sample", type=at_least(0), default=12,
         help="sampled crash boundaries per scheme (0 disables)",
     )
     parser.add_argument(

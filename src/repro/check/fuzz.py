@@ -19,9 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, TypeVar
 
-from repro.check.oracle import build_system, run_trace
+from repro.check.oracle import build_system
 from repro.check.sanitizer import PersistOrderSanitizer, Violation
-from repro.check.trace import Trace, TraceTxn, generate_trace
+from repro.check.trace import SLOT_BYTES, Trace, TraceTxn, generate_trace
+from repro.crashtest import replay
 from repro.snapshot import snapshots_enabled
 from repro.snapshot.replay import TraceReplayCache
 
@@ -37,22 +38,19 @@ def make_replay_cache(scheme: str, slots: int) -> TraceReplayCache:
     rides inside the snapshot, so its violation list always reflects
     exactly the transactions of the variant being scored.
     """
+    empty = Trace(seed=0, slots=slots, cores=0, txns=())
 
     def build():
-        sanitizer = PersistOrderSanitizer()
-        system = build_system(scheme, checker=sanitizer)
-        addrs = [system.allocate(64) for _ in range(slots)]
+        system = build_system(scheme, checker=PersistOrderSanitizer())
+        addrs = [system.allocate(SLOT_BYTES) for _ in range(slots)]
         return {"system": system, "addrs": addrs}
 
     def apply(state, txn: TraceTxn) -> None:
-        system = state["system"]
-        addrs = state["addrs"]
-        with system.transaction(txn.core) as tx:
-            for store in txn.stores:
-                tx.store(
-                    addrs[store.slot] + 8 * store.offset,
-                    store.value.to_bytes(8, "little"),
-                )
+        replay(
+            state["system"],
+            empty.with_txns((txn,)),
+            slot_addrs=state["addrs"],
+        )
 
     return TraceReplayCache(build, apply)
 
@@ -76,7 +74,7 @@ def trace_violations(
     if cache is None or not snapshots_enabled():
         sanitizer = PersistOrderSanitizer()
         system = build_system(scheme, checker=sanitizer)
-        run_trace(system, trace)
+        replay(system, trace)
         return sanitizer.violations
     state = cache.replay(trace.txns, record=record)
     return list(state["system"].check.violations)

@@ -24,17 +24,19 @@ figures.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from dataclasses import replace as _dc_replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.check.sanitizer import PersistOrderSanitizer
 from repro.check.trace import Trace, expected_state, generate_trace
-from repro.common.config import FaultConfig, SystemConfig
-from repro.common.errors import PowerLossError
-from repro.crashtest import choose_boundaries, verify_atomic_durability
+from repro.common.config import SystemConfig
+from repro.crashtest import (
+    CrashCases,
+    choose_boundaries,
+    crash_plan,
+    replay,
+    require_at_least,
+)
 from repro.faults import make_device
-from repro.snapshot import capture, checkpoint_cadence, snapshots_enabled
-from repro.snapshot.replay import Checkpoint, CheckpointChain
 from repro.txn.system import MemorySystem
 
 # Every registered scheme plus the ideal baseline; crash-recovery
@@ -55,12 +57,7 @@ REAL_SCHEMES: Tuple[str, ...] = tuple(
 )
 
 
-def build_system(
-    scheme: str,
-    *,
-    faults: Optional[FaultConfig] = None,
-    checker=None,
-) -> MemorySystem:
+def build_system(scheme: str, *, checker=None) -> MemorySystem:
     """A small-config system for ``scheme``, including ``mutant-redo``.
 
     The mutant is constructed directly (it is deliberately absent from
@@ -68,8 +65,6 @@ def build_system(
     registry path.
     """
     config = SystemConfig.small()
-    if faults is not None:
-        config = config.replace(faults=faults)
     if scheme == "mutant-redo":
         from repro.check.mutant import MutantRedoScheme
 
@@ -78,106 +73,6 @@ def build_system(
             config, MutantRedoScheme(config, device), checker=checker
         )
     return MemorySystem(config, scheme, checker=checker)
-
-
-@dataclass
-class TraceOutcome:
-    """One trace replay on one system."""
-
-    slot_addrs: List[int]
-    oracle: Dict[int, bytes]  # committed word -> value
-    staged: Dict[int, bytes]  # in-flight words at power loss (may be {})
-    power_lost: bool
-    completed_txns: int
-
-
-def run_trace(system: MemorySystem, trace: Trace) -> TraceOutcome:
-    """Replay ``trace`` until done or power loss (crashtest-compatible)."""
-    slot_addrs = [system.allocate(64) for _ in range(trace.slots)]
-    oracle: Dict[int, bytes] = {}
-    staged: Dict[int, bytes] = {}
-    completed = 0
-    try:
-        for txn in trace.txns:
-            staged = {}
-            with system.transaction(txn.core) as tx:
-                for store in txn.stores:
-                    addr = slot_addrs[store.slot] + 8 * store.offset
-                    value = store.value.to_bytes(8, "little")
-                    tx.store(addr, value)
-                    staged[addr] = value
-            oracle.update(staged)
-            staged = {}
-            completed += 1
-    except PowerLossError:
-        return TraceOutcome(slot_addrs, oracle, staged, True, completed)
-    return TraceOutcome(slot_addrs, oracle, staged, False, completed)
-
-
-def _probe_with_checkpoints(
-    system: MemorySystem, trace: Trace, cadence: int
-) -> Tuple[TraceOutcome, CheckpointChain]:
-    """Fault-free :func:`run_trace` that doubles as a recorder.
-
-    Before every ``cadence``-th transaction a snapshot checkpoint is
-    laid down (with the committed-word oracle as of that point), so each
-    crash boundary can later replay just the trace suffix instead of the
-    whole trace.  The trace itself is pure data — replay consumes no
-    RNG — so a resumed run is bit-identical to a cold one.
-    """
-    chain = CheckpointChain()
-    slot_addrs = [system.allocate(64) for _ in range(trace.slots)]
-    oracle: Dict[int, bytes] = {}
-    for index, txn in enumerate(trace.txns):
-        if index % cadence == 0:
-            chain.add(
-                Checkpoint(
-                    index,
-                    system.device.stats.writes,
-                    capture(system, txn_index=index),
-                    dict(oracle),
-                )
-            )
-        staged: Dict[int, bytes] = {}
-        with system.transaction(txn.core) as tx:
-            for store in txn.stores:
-                addr = slot_addrs[store.slot] + 8 * store.offset
-                value = store.value.to_bytes(8, "little")
-                tx.store(addr, value)
-                staged[addr] = value
-        oracle.update(staged)
-    return (
-        TraceOutcome(slot_addrs, oracle, {}, False, len(trace.txns)),
-        chain,
-    )
-
-
-def _resume_trace(
-    system: MemorySystem,
-    trace: Trace,
-    slot_addrs: List[int],
-    start: int,
-    oracle: Dict[int, bytes],
-) -> TraceOutcome:
-    """Continue a restored replay from transaction ``start``."""
-    oracle = dict(oracle)
-    staged: Dict[int, bytes] = {}
-    completed = start
-    try:
-        for txn in trace.txns[start:]:
-            staged = {}
-            with system.transaction(txn.core) as tx:
-                for store in txn.stores:
-                    addr = slot_addrs[store.slot] + 8 * store.offset
-                    value = store.value.to_bytes(8, "little")
-                    tx.store(addr, value)
-                    staged[addr] = value
-            oracle.update(staged)
-            staged = {}
-            completed += 1
-    except PowerLossError:
-        return TraceOutcome(slot_addrs, oracle, staged, True, completed)
-    return TraceOutcome(slot_addrs, oracle, staged, False, completed)
 
 
 @dataclass
@@ -233,7 +128,7 @@ def check_scheme(
     # 1 + 2: instrumented fault-free run, then read-back convergence.
     sanitizer = PersistOrderSanitizer()
     system = build_system(scheme, checker=sanitizer)
-    outcome = run_trace(system, trace)
+    outcome = replay(system, trace)
     assert not outcome.power_lost
     report.discipline = sanitizer.discipline
     report.transactions_checked = sanitizer.transactions_checked
@@ -248,65 +143,19 @@ def check_scheme(
                 f" {expected[addr].hex()}"
             )
 
-    # 3: crash-recovery convergence (real schemes only).  With
-    # snapshots enabled the probe run doubles as a recorder and every
-    # boundary restores the nearest checkpoint at or before its cut,
-    # replaying only the trace suffix; verdicts are bit-identical to
-    # the cold per-boundary rerun (REPRO_SNAPSHOT_DISABLE=1).
+    # 3: crash-recovery convergence (real schemes only), through the
+    # crash sweep's engine: checkpointed unless REPRO_SNAPSHOT_DISABLE=1,
+    # with bit-identical verdicts either way.
     if scheme in REAL_SCHEMES and crash_sample:
-        probe = build_system(
-            scheme, faults=FaultConfig(enabled=True, seed=seed)
-        )
-        incremental = snapshots_enabled()
-        chain = CheckpointChain()
-        if incremental:
-            cadence = checkpoint_cadence(max(1, len(trace.txns) // 8))
-            probe_outcome, chain = _probe_with_checkpoints(
-                probe, trace, cadence
-            )
-        else:
-            probe_outcome = run_trace(probe, trace)
-        assert not probe_outcome.power_lost
-        total_writes = probe.device.stats.writes
-        for boundary in choose_boundaries(total_writes, crash_sample, seed):
-            faults = FaultConfig(
-                enabled=True,
-                seed=seed ^ (boundary << 8),
-                power_loss_after_write=boundary,
-                torn=boundary % 2 == 1,
-            )
-            checkpoint = chain.nearest(boundary) if incremental else None
-            if checkpoint is not None:
-                crashed = checkpoint.snapshot.restore()
-                # Rearm with the residual write budget; the fresh
-                # injector PRNG matches the cold one bit-for-bit
-                # because nothing consumes it before the cut.
-                crashed.device.rearm(
-                    _dc_replace(
-                        faults,
-                        power_loss_after_write=boundary - checkpoint.writes,
-                    )
-                )
-                crash_outcome = _resume_trace(
-                    crashed,
-                    trace,
-                    probe_outcome.slot_addrs,
-                    checkpoint.txn_index,
-                    checkpoint.oracle,
-                )
-            else:
-                crashed = build_system(scheme, faults=faults)
-                crash_outcome = run_trace(crashed, trace)
-            crashed.crash()
-            crashed.recover(threads=2)
-            failure = verify_atomic_durability(
-                crashed, crash_outcome.oracle, crash_outcome.staged
-            )
+        cases = CrashCases(scheme, trace)
+        total = cases.probe(seed=seed, cadence=max(1, len(trace.txns) // 8))
+        for boundary in choose_boundaries(total, crash_sample, seed):
+            case = cases.run(crash_plan(seed, boundary, boundary % 2 == 1))
             report.crash_cases += 1
-            if failure:
+            if case.failure:
                 report.crash_failures.append(
                     f"@write {boundary}"
-                    f"{' torn' if faults.torn else ''}: {failure}"
+                    f"{' torn' if case.torn else ''}: {case.failure}"
                 )
     if progress:
         progress(report.render())
@@ -353,6 +202,8 @@ def run_check_matrix(
     read-back bytes are compared against the first scheme's, so a
     divergence names both parties even if the model itself were wrong.
     """
+    require_at_least(1, transactions=transactions, slots=slots)
+    require_at_least(0, crash_sample=crash_sample)
     trace = generate_trace(
         seed,
         transactions=transactions,

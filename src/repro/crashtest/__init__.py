@@ -22,27 +22,37 @@ Determinism: workload generation, fault plans, and boundary sampling
 all derive from explicit seeds, so a sweep is byte-reproducible and an
 artifact replays to the identical failure or pass.
 
+The crash-case engine here is shared with the nested sweep
+(:mod:`repro.crashtest.nested`) and the differential oracle
+(:mod:`repro.check.oracle`): a workload is a
+:class:`~repro.check.trace.Trace`, :func:`replay` is the one loop that
+runs it, and :class:`CrashCases` probes a trace once and reproduces the
+machine at any crash boundary, from the nearest checkpoint or cold.
+
 CLI: ``python -m repro.crashtest --schemes all --sample 200 --seed 7``.
 """
 
 from __future__ import annotations
 
+import argparse
 import random
 from dataclasses import dataclass, field
 from dataclasses import replace as _dc_replace
 from typing import Dict, List, Optional, Tuple
 
+from repro.check.trace import (
+    SLOT_BYTES,
+    WORDS_PER_SLOT,
+    Trace,
+    TraceStore,
+    TraceTxn,
+)
 from repro.common.config import FaultConfig, SystemConfig
 from repro.common.errors import PowerLossError
 from repro.faults.plan import CrashArtifact, save_artifact
-from repro.snapshot import capture, checkpoint_cadence, snapshots_enabled
+from repro.snapshot import capture, snapshots_enabled
 from repro.snapshot.replay import Checkpoint, CheckpointChain
 from repro.txn.system import MemorySystem
-
-# One recorded workload transaction: issuing core plus its ordered
-# (addr, value) stores, duplicates preserved — everything a replay needs
-# to re-execute the transaction without consuming workload RNG.
-TxnRecord = Tuple[int, List[Tuple[int, bytes]]]
 
 # The sweep's scheme vocabulary.  Keys are the CLI names (the paper's
 # shorthand); values are registry names in repro.schemes.
@@ -59,30 +69,52 @@ SWEEP_SCHEMES: Dict[str, str] = {
 _ZERO_WORD = bytes(8)
 
 
-def resolve_schemes(spec: str) -> List[str]:
+def resolve_schemes(
+    spec: str, vocabulary: Dict[str, str] = SWEEP_SCHEMES
+) -> List[str]:
     """Expand a ``--schemes`` argument to registry names."""
     if spec == "all":
-        return list(SWEEP_SCHEMES.values())
-    names = []
-    for token in spec.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        registry = SWEEP_SCHEMES.get(token, token)
-        names.append(registry)
+        return list(vocabulary.values())
+    names = [
+        vocabulary.get(token.strip(), token.strip())
+        for token in spec.split(",")
+        if token.strip()
+    ]
     if not names:
         raise ValueError("no schemes selected")
     return names
 
 
+def require_at_least(floor: int, **sizes: int) -> None:
+    """Raise ``ValueError`` naming the first of ``sizes`` below ``floor``."""
+    for name, value in sizes.items():
+        if value < floor:
+            raise ValueError(f"{name} must be at least {floor}, got {value}")
+
+
+def at_least(floor: int):
+    """An argparse ``type`` for integers of at least ``floor``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < floor:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {floor}, got {value}"
+            )
+        return value
+
+    return parse
+
+
 @dataclass
 class RunOutcome:
-    """One workload execution under one fault plan."""
+    """One trace replay, up to its end or to the power cut."""
 
+    slot_addrs: List[int]
     oracle: Dict[int, bytes]  # committed word -> value
     staged: Dict[int, bytes]  # in-flight transaction's words (may be {})
     power_lost: bool
-    writes_at_cut: int
+    checkpoints: CheckpointChain = field(default_factory=CheckpointChain)
 
 
 @dataclass
@@ -113,60 +145,81 @@ def _build_system(scheme: str, faults: FaultConfig) -> MemorySystem:
     return MemorySystem(config, scheme=scheme)
 
 
-def run_workload(
-    system: MemorySystem,
-    *,
-    seed: int,
-    transactions: int,
-    addresses: int,
-) -> RunOutcome:
-    """Drive the seeded random workload until done or power loss.
+def workload_trace(seed: int, *, transactions: int, addresses: int) -> Trace:
+    """The sweep's seeded random workload as a replayable :class:`Trace`.
 
-    The oracle tracks words of transactions whose ``with`` block exited
-    (commit returned); ``staged`` holds the one transaction that was
-    open — or mid-commit, or whose post-commit GC tick died — when the
-    power failed.  The verifier decides which side of the commit point
-    that transaction landed on.
+    Per transaction the RNG draws the core, the store count, then slot,
+    word and value per store.  ``randrange(addresses)`` draws exactly
+    what ``choice`` over the allocated addresses drew, so the slots
+    resolve to the same addresses the workload has always stored to.
     """
+    require_at_least(1, transactions=transactions, addresses=addresses)
     rng = random.Random(seed)
-    addrs = [system.allocate(64) for _ in range(addresses)]
-    oracle: Dict[int, bytes] = {}
+    cores = SystemConfig.small().num_cores
+    txns = []
+    for _ in range(transactions):
+        core = rng.randrange(cores)
+        stores = tuple(
+            TraceStore(
+                rng.randrange(addresses),
+                rng.randrange(WORDS_PER_SLOT),
+                rng.getrandbits(64),
+            )
+            for _ in range(rng.randint(1, 6))
+        )
+        txns.append(TraceTxn(core, stores))
+    return Trace(seed=seed, slots=addresses, cores=cores, txns=tuple(txns))
+
+
+def replay(
+    system: MemorySystem,
+    trace: Trace,
+    *,
+    slot_addrs: Optional[List[int]] = None,
+    start: int = 0,
+    oracle: Optional[Dict[int, bytes]] = None,
+    cadence: int = 0,
+) -> RunOutcome:
+    """Replay ``trace.txns[start:]`` on ``system`` until done or power loss.
+
+    The one loop that turns workload stores into transactions.  The
+    oracle (seeded from ``oracle``) tracks words of transactions whose
+    ``with`` block exited (commit returned); ``staged`` holds the one
+    transaction that was open — or mid-commit, or whose post-commit GC
+    tick died — when the power failed, and the verifier decides which
+    side of the commit point it landed on.  ``slot_addrs`` defaults to
+    fresh heap allocations (deterministic, so equal on every system).
+    A nonzero ``cadence`` lays a checkpoint before every
+    ``cadence``-th transaction, carrying the oracle at that point.
+    """
+    if slot_addrs is None:
+        slot_addrs = [system.allocate(SLOT_BYTES) for _ in range(trace.slots)]
+    committed = dict(oracle or {})
+    checkpoints = CheckpointChain()
     staged: Dict[int, bytes] = {}
-    cores = system.config.num_cores
     try:
-        for _ in range(transactions):
+        for index in range(start, len(trace.txns)):
+            if cadence and index % cadence == 0:
+                checkpoints.add(
+                    Checkpoint(
+                        index,
+                        system.device.stats.writes,
+                        capture(system, txn_index=index),
+                        dict(committed),
+                    )
+                )
+            txn = trace.txns[index]
             staged = {}
-            core = rng.randrange(cores)
-            with system.transaction(core) as tx:
-                for _ in range(rng.randint(1, 6)):
-                    addr = rng.choice(addrs) + 8 * rng.randrange(8)
-                    value = rng.getrandbits(64).to_bytes(8, "little")
+            with system.transaction(txn.core) as tx:
+                for store in txn.stores:
+                    addr = slot_addrs[store.slot] + 8 * store.offset
+                    value = store.value.to_bytes(8, "little")
                     tx.store(addr, value)
                     staged[addr] = value
-            oracle.update(staged)
-            staged = {}
+            committed.update(staged)
     except PowerLossError:
-        return RunOutcome(
-            oracle, staged, True, system.device.stats.writes
-        )
-    return RunOutcome(oracle, {}, False, system.device.stats.writes)
-
-
-def count_write_boundaries(
-    scheme: str, *, seed: int, transactions: int, addresses: int
-) -> int:
-    """Probe run: total timed writes of the fault-free workload.
-
-    Runs on the *fault device* with nothing armed so write counting
-    (e.g. batched GC writes, decomposed per element) matches the armed
-    runs write-for-write.
-    """
-    system = _build_system(scheme, FaultConfig(enabled=True, seed=seed))
-    outcome = run_workload(
-        system, seed=seed, transactions=transactions, addresses=addresses
-    )
-    assert not outcome.power_lost
-    return system.device.stats.writes
+        return RunOutcome(slot_addrs, committed, staged, True, checkpoints)
+    return RunOutcome(slot_addrs, committed, {}, False, checkpoints)
 
 
 def verify_atomic_durability(
@@ -227,55 +280,100 @@ def verify_atomic_durability(
     return None
 
 
-def _finish_case(
-    system: MemorySystem,
-    faults: FaultConfig,
-    outcome: RunOutcome,
-    recovery_threads: int,
-) -> CaseResult:
-    """Shared verdict tail: crash, recover, verify, fingerprint.
+def crash_plan(seed: int, boundary: int, torn: bool) -> FaultConfig:
+    """Fault plan of the forward crash case at write ``boundary``.
 
-    Both the cold path (:func:`run_case`) and the incremental path
-    (:func:`_run_case_incremental`) end here, so their verdicts are
-    computed by the same code — a bit-identity requirement, not just
-    deduplication.
+    Power is lost after that write, torn or clean, and the injector is
+    seeded with ``seed ^ (boundary << 8)``.
     """
-    system.crash()
-    report = system.recover(threads=recovery_threads)
-    failure = verify_atomic_durability(
-        system, outcome.oracle, outcome.staged
-    )
-    committed = getattr(
-        report, "committed_transactions", len(outcome.oracle)
-    )
-    return CaseResult(
-        boundary=faults.power_loss_after_write,
-        torn=faults.torn,
-        failure=failure,
-        fingerprint=system.device.content_fingerprint(),
-        committed=committed,
+    return FaultConfig(
+        enabled=True,
+        seed=seed ^ (boundary << 8),
+        power_loss_after_write=boundary,
+        torn=torn,
     )
 
 
-def build_crashed_cold(
-    scheme: str,
-    faults: FaultConfig,
-    *,
-    seed: int,
-    transactions: int,
-    addresses: int,
-) -> Tuple[MemorySystem, RunOutcome]:
-    """Cold front half of a case: run the workload under ``faults``.
+class CrashCases:
+    """The crash cases of one scheme on one workload trace.
 
-    Returns the system *before* ``crash()`` plus the observed outcome;
-    shared by :func:`run_case` and the nested sweep (which crashes,
-    snapshots, and re-crashes recovery itself).
+    :meth:`probe` runs the trace fault-free on the fault device (so
+    write counting matches the armed runs write for write) and returns
+    the timed-write count, the boundary population; with snapshots on
+    it also lays a checkpoint every ``cadence`` transactions.
+    :meth:`crashed_at` then reproduces the machine just after the trace
+    ran under a fault plan: restored from the nearest checkpoint at or
+    before the cut with the *residual* write budget re-armed (zero
+    means the very next write dies), or rerun cold when no checkpoint
+    precedes the cut (no probe, ``REPRO_SNAPSHOT_DISABLE=1``, or a plan
+    without a power cut).  Both paths give the same system and outcome.
     """
-    system = _build_system(scheme, faults)
-    outcome = run_workload(
-        system, seed=seed, transactions=transactions, addresses=addresses
-    )
-    return system, outcome
+
+    def __init__(self, scheme: str, trace: Trace) -> None:
+        self.scheme = scheme
+        self.trace = trace
+        self.checkpoints = CheckpointChain()
+        self._slot_addrs: Optional[List[int]] = None
+
+    def probe(self, *, seed: int, cadence: int) -> int:
+        """Fault-free run; returns its timed-write count."""
+        system = _build_system(
+            self.scheme, FaultConfig(enabled=True, seed=seed)
+        )
+        outcome = replay(
+            system, self.trace, cadence=cadence if snapshots_enabled() else 0
+        )
+        assert not outcome.power_lost
+        self.checkpoints = outcome.checkpoints
+        self._slot_addrs = outcome.slot_addrs
+        return system.device.stats.writes
+
+    def crashed_at(
+        self, faults: FaultConfig
+    ) -> Tuple[MemorySystem, RunOutcome]:
+        """The system after the trace ran under ``faults``, not yet crashed."""
+        boundary = faults.power_loss_after_write
+        checkpoint = (
+            None if boundary is None else self.checkpoints.nearest(boundary)
+        )
+        if checkpoint is None:
+            system = _build_system(self.scheme, faults)
+            return system, replay(system, self.trace)
+        system = checkpoint.snapshot.restore()
+        # A fresh injector: its PRNG matches the cold one bit for bit
+        # because nothing draws from it before the cut.
+        system.device.rearm(
+            _dc_replace(
+                faults, power_loss_after_write=boundary - checkpoint.writes
+            )
+        )
+        return system, replay(
+            system,
+            self.trace,
+            slot_addrs=self._slot_addrs,
+            start=checkpoint.txn_index,
+            oracle=checkpoint.oracle,
+        )
+
+    def run(
+        self, faults: FaultConfig, recovery_threads: int = 2
+    ) -> CaseResult:
+        """One full case: run under ``faults``, crash, recover, verify."""
+        system, outcome = self.crashed_at(faults)
+        system.crash()
+        report = system.recover(threads=recovery_threads)
+        failure = verify_atomic_durability(
+            system, outcome.oracle, outcome.staged
+        )
+        return CaseResult(
+            boundary=faults.power_loss_after_write,
+            torn=faults.torn,
+            failure=failure,
+            fingerprint=system.device.content_fingerprint(),
+            committed=getattr(
+                report, "committed_transactions", len(outcome.oracle)
+            ),
+        )
 
 
 def run_case(
@@ -288,140 +386,10 @@ def run_case(
     recovery_threads: int = 2,
 ) -> CaseResult:
     """One full cold cycle: workload under faults, crash, recover, verify."""
-    system, outcome = build_crashed_cold(
-        scheme, faults, seed=seed, transactions=transactions,
-        addresses=addresses,
+    trace = workload_trace(
+        seed, transactions=transactions, addresses=addresses
     )
-    return _finish_case(system, faults, outcome, recovery_threads)
-
-
-def _probe_and_checkpoint(
-    scheme: str,
-    *,
-    seed: int,
-    transactions: int,
-    addresses: int,
-    cadence: int,
-) -> Tuple[int, List[TxnRecord], CheckpointChain]:
-    """One probe run that also records the workload and lays checkpoints.
-
-    Replicates :func:`run_workload`'s RNG call order exactly (same
-    ``randrange``/``randint``/``choice``/``getrandbits`` sequence), so
-    the recorded transactions are byte-for-byte what an armed rerun
-    would execute, and the unarmed device's write counter matches the
-    armed runs write-for-write.  A checkpoint is captured *before*
-    every ``cadence``-th transaction, carrying the committed-word
-    oracle at that point.
-    """
-    system = _build_system(scheme, FaultConfig(enabled=True, seed=seed))
-    rng = random.Random(seed)
-    addrs = [system.allocate(64) for _ in range(addresses)]
-    cores = system.config.num_cores
-    chain = CheckpointChain()
-    oracle: Dict[int, bytes] = {}
-    txns: List[TxnRecord] = []
-    for index in range(transactions):
-        if index % cadence == 0:
-            chain.add(
-                Checkpoint(
-                    index,
-                    system.device.stats.writes,
-                    capture(system, txn_index=index),
-                    dict(oracle),
-                )
-            )
-        core = rng.randrange(cores)
-        stores: List[Tuple[int, bytes]] = []
-        with system.transaction(core) as tx:
-            for _ in range(rng.randint(1, 6)):
-                addr = rng.choice(addrs) + 8 * rng.randrange(8)
-                value = rng.getrandbits(64).to_bytes(8, "little")
-                tx.store(addr, value)
-                stores.append((addr, value))
-        # dict() collapses duplicate addresses last-wins, exactly like
-        # run_workload's staged dict.
-        oracle.update(dict(stores))
-        txns.append((core, stores))
-    return system.device.stats.writes, txns, chain
-
-
-def _run_case_incremental(
-    scheme: str,
-    faults: FaultConfig,
-    *,
-    boundary: int,
-    chain: CheckpointChain,
-    txns: List[TxnRecord],
-    seed: int,
-    transactions: int,
-    addresses: int,
-    recovery_threads: int,
-) -> CaseResult:
-    """One crash case starting from the nearest checkpoint <= boundary.
-
-    The restored system gets a fresh injector armed with the *residual*
-    write budget (``boundary - checkpoint.writes``; zero means the very
-    next write dies), then replays the recorded transaction suffix —
-    mirroring :func:`run_workload`'s staged/oracle bookkeeping — and
-    finishes through the shared verdict tail.  Falls back to the cold
-    :func:`run_case` when no checkpoint precedes the boundary.
-    """
-    pair = build_crashed_incremental(
-        faults, boundary=boundary, chain=chain, txns=txns
-    )
-    if pair is None:
-        return run_case(
-            scheme,
-            faults,
-            seed=seed,
-            transactions=transactions,
-            addresses=addresses,
-            recovery_threads=recovery_threads,
-        )
-    system, outcome = pair
-    return _finish_case(system, faults, outcome, recovery_threads)
-
-
-def build_crashed_incremental(
-    faults: FaultConfig,
-    *,
-    boundary: int,
-    chain: CheckpointChain,
-    txns: List[TxnRecord],
-) -> Optional[Tuple[MemorySystem, RunOutcome]]:
-    """Incremental front half: restore a checkpoint and replay the suffix.
-
-    Returns ``None`` when no checkpoint precedes the boundary (callers
-    fall back to :func:`build_crashed_cold`); otherwise the system
-    before ``crash()`` plus the outcome, exactly as the cold path would
-    have produced them.
-    """
-    checkpoint = chain.nearest(boundary)
-    if checkpoint is None:
-        return None
-    system = checkpoint.snapshot.restore()
-    system.device.rearm(
-        _dc_replace(
-            faults, power_loss_after_write=boundary - checkpoint.writes
-        )
-    )
-    oracle = dict(checkpoint.oracle)
-    staged: Dict[int, bytes] = {}
-    try:
-        for core, stores in txns[checkpoint.txn_index :]:
-            staged = {}
-            with system.transaction(core) as tx:
-                for addr, value in stores:
-                    tx.store(addr, value)
-                    staged[addr] = value
-            oracle.update(staged)
-            staged = {}
-        outcome = RunOutcome(oracle, {}, False, system.device.stats.writes)
-    except PowerLossError:
-        outcome = RunOutcome(
-            oracle, staged, True, system.device.stats.writes
-        )
-    return system, outcome
+    return CrashCases(scheme, trace).run(faults, recovery_threads)
 
 
 def choose_boundaries(
@@ -466,63 +434,28 @@ def sweep_scheme(
 ) -> SweepResult:
     """Sweep one scheme across crash boundaries; returns all cases.
 
-    By default the sweep is *incremental*: the probe run doubles as a
-    recorder, laying a snapshot checkpoint every ``cadence``
-    transactions (default ``transactions // 20``, overridable via
-    ``REPRO_SNAPSHOT_CADENCE``), and each boundary replays only from
-    the nearest checkpoint.  ``REPRO_SNAPSHOT_DISABLE=1`` falls back to
-    the original cold rerun per boundary; per-boundary verdicts are
-    bit-identical either way.
+    By default the sweep is *incremental*: the probe run lays a
+    snapshot checkpoint every ``cadence`` transactions (default
+    ``transactions // 20``) and each boundary replays only from the
+    nearest checkpoint.  ``REPRO_SNAPSHOT_DISABLE=1`` falls back to a
+    cold rerun per boundary; per-boundary verdicts are bit-identical
+    either way.
     """
-    incremental = snapshots_enabled()
-    txns: List[TxnRecord] = []
-    chain = CheckpointChain()
-    if incremental:
-        if cadence is None:
-            cadence = checkpoint_cadence(max(1, transactions // 20))
-        total, txns, chain = _probe_and_checkpoint(
-            scheme,
-            seed=seed,
-            transactions=transactions,
-            addresses=addresses,
-            cadence=cadence,
-        )
-    else:
-        total = count_write_boundaries(
-            scheme, seed=seed, transactions=transactions, addresses=addresses
-        )
+    require_at_least(0, sample=sample)
+    trace = workload_trace(
+        seed, transactions=transactions, addresses=addresses
+    )
+    cases = CrashCases(scheme, trace)
+    total = cases.probe(
+        seed=seed, cadence=cadence or max(1, transactions // 20)
+    )
     boundaries = choose_boundaries(total, sample, seed)
     result = SweepResult(
         scheme=scheme, total_writes=total, boundaries=boundaries
     )
     for boundary in boundaries:
-        faults = FaultConfig(
-            enabled=True,
-            seed=seed ^ (boundary << 8),
-            power_loss_after_write=boundary,
-            torn=_torn_for(boundary, torn_mode),
-        )
-        if incremental:
-            case = _run_case_incremental(
-                scheme,
-                faults,
-                boundary=boundary,
-                chain=chain,
-                txns=txns,
-                seed=seed,
-                transactions=transactions,
-                addresses=addresses,
-                recovery_threads=recovery_threads,
-            )
-        else:
-            case = run_case(
-                scheme,
-                faults,
-                seed=seed,
-                transactions=transactions,
-                addresses=addresses,
-                recovery_threads=recovery_threads,
-            )
+        faults = crash_plan(seed, boundary, _torn_for(boundary, torn_mode))
+        case = cases.run(faults, recovery_threads)
         result.cases.append(case)
         if case.failure and artifact_dir:
             artifact = CrashArtifact(

@@ -86,7 +86,7 @@ def _main_nested(args) -> int:
         idempotence_k=args.idempotence_k,
     )
     state = nested.SweepState.open(state_path, params, resume=args.resume)
-    budget = [args.max_cases] if args.max_cases > 0 else None
+    budget = args.max_cases if args.max_cases > 0 else None
     any_failures = False
     exhausted = False
     grand_cases = 0
@@ -94,7 +94,7 @@ def _main_nested(args) -> int:
     started = time.time()
     for scheme in schemes:
         t0 = time.time()
-        result, ran_dry = nested._nested_sweep_counted(
+        result = nested.nested_sweep_scheme(
             scheme,
             seed=args.seed,
             transactions=args.transactions,
@@ -107,10 +107,12 @@ def _main_nested(args) -> int:
             idempotence_k=args.idempotence_k,
             artifact_dir=args.artifact_dir,
             state=state,
-            budget=budget,
+            max_new_cases=budget,
             progress=print,
         )
-        exhausted = exhausted or ran_dry
+        if budget is not None:
+            budget -= len(result.cases) - result.skipped
+        exhausted = exhausted or result.exhausted
         grand_cases += len(result.cases)
         failures = result.failures
         any_failures = any_failures or bool(failures)
@@ -129,7 +131,7 @@ def _main_nested(args) -> int:
             f" {result.recovery_ops_probed}, {len(failures)} failures"
             f" ({time.time() - t0:.1f}s)"
         )
-        if ran_dry:
+        if result.exhausted:
             break
     if args.verdicts:
         path = pathlib.Path(args.verdicts)
@@ -172,15 +174,17 @@ def main(argv=None) -> int:
         ),
     )
     parser.add_argument(
-        "--sample", type=int, default=200,
+        "--sample", type=crashtest.at_least(0), default=200,
         help="crash boundaries per scheme (0 = every write boundary)",
     )
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument(
-        "--transactions", type=int, default=80,
+        "--transactions", type=crashtest.at_least(1), default=80,
         help="workload length per run",
     )
-    parser.add_argument("--addresses", type=int, default=12)
+    parser.add_argument(
+        "--addresses", type=crashtest.at_least(1), default=12
+    )
     parser.add_argument(
         "--torn", choices=("never", "always", "alternate"),
         default="alternate",
@@ -212,16 +216,16 @@ def main(argv=None) -> int:
         " recovery idempotence",
     )
     parser.add_argument(
-        "--forward-sample", type=int, default=5,
+        "--forward-sample", type=crashtest.at_least(0), default=5,
         help="[--nested] forward crash boundaries per scheme",
     )
     parser.add_argument(
-        "--nested-sample", type=int, default=4,
+        "--nested-sample", type=crashtest.at_least(0), default=4,
         help="[--nested] recovery-op cut points per forward boundary"
         " (0 = every recovery op)",
     )
     parser.add_argument(
-        "--gc-sample", type=int, default=6,
+        "--gc-sample", type=crashtest.at_least(0), default=6,
         help="[--nested] write boundaries inside the GC pass"
         " (0 = every GC write)",
     )

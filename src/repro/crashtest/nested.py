@@ -41,24 +41,24 @@ import os
 import pathlib
 from dataclasses import dataclass, field
 from dataclasses import replace as _dc_replace
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.common.config import FaultConfig
 from repro.common.errors import MediaError, PowerLossError
 from repro.crashtest import (
     SWEEP_SCHEMES,
+    CrashCases,
     RunOutcome,
-    _probe_and_checkpoint,
     _torn_for,
-    build_crashed_cold,
-    build_crashed_incremental,
     choose_boundaries,
-    count_write_boundaries,
+    crash_plan,
+    require_at_least,
+    resolve_schemes,
     verify_atomic_durability,
+    workload_trace,
 )
 from repro.faults.plan import CrashArtifact, save_artifact
-from repro.snapshot import capture, checkpoint_cadence, snapshots_enabled
-from repro.snapshot.replay import CheckpointChain
+from repro.snapshot import capture, snapshots_enabled
 from repro.txn.system import MemorySystem
 
 # The nested sweep covers every registered persistence scheme — the
@@ -84,17 +84,7 @@ STATE_VERSION = 1
 
 def resolve_nested_schemes(spec: str) -> List[str]:
     """Expand a ``--schemes`` argument against the nested vocabulary."""
-    if spec == "all":
-        return list(NESTED_SCHEMES.values())
-    names = []
-    for token in spec.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        names.append(NESTED_SCHEMES.get(token, token))
-    if not names:
-        raise ValueError("no schemes selected")
-    return names
+    return resolve_schemes(spec, NESTED_SCHEMES)
 
 
 @dataclass
@@ -137,6 +127,7 @@ class NestedSweepResult:
     recovery_ops_probed: int = 0
     cases: List[NestedCaseResult] = field(default_factory=list)
     skipped: int = 0  # cases satisfied from resumed state
+    exhausted: bool = False  # stopped early at ``max_new_cases``
 
     @property
     def failures(self) -> List[NestedCaseResult]:
@@ -325,111 +316,43 @@ def run_nested_recovery_case(
     )
 
 
-class _CrashedFactory:
-    """Reproduces the crashed machine of one forward boundary on demand.
+_State = Tuple[MemorySystem, RunOutcome]
 
-    With snapshots enabled the crashed state is captured once and every
-    nested case restores a bit-identical clone; with
-    ``REPRO_SNAPSHOT_DISABLE=1`` each case re-runs the workload cold —
-    verdicts are identical either way (the same equivalence the forward
-    sweep's CI smoke checks).
+
+class _Machine:
+    """One machine state, reproduced afresh for every case that needs it.
+
+    With snapshots on, the state is built once and each case restores a
+    bit-identical clone; with ``REPRO_SNAPSHOT_DISABLE=1`` each case
+    rebuilds it cold.  Verdicts are identical either way.
     """
 
-    def __init__(
-        self,
-        scheme: str,
-        faults: FaultConfig,
-        *,
-        seed: int,
-        transactions: int,
-        addresses: int,
-        chain: Optional[CheckpointChain],
-        txns,
-    ) -> None:
-        self.scheme = scheme
-        self.faults = faults
-        self.seed = seed
-        self.transactions = transactions
-        self.addresses = addresses
-        self._chain = chain
-        self._txns = txns
+    def __init__(self, build: Callable[[], _State]) -> None:
+        self._build = build
         self._snapshot = None
-        self.outcome: Optional[RunOutcome] = None
         if snapshots_enabled():
-            system, self.outcome = self._build()
-            system.crash()
+            system, self._outcome = build()
             self._snapshot = capture(system)
 
-    def _build(self) -> Tuple[MemorySystem, RunOutcome]:
-        boundary = self.faults.power_loss_after_write
-        if self._chain is not None and boundary is not None:
-            pair = build_crashed_incremental(
-                self.faults,
-                boundary=boundary,
-                chain=self._chain,
-                txns=self._txns,
-            )
-            if pair is not None:
-                return pair
-        return build_crashed_cold(
-            self.scheme,
-            self.faults,
-            seed=self.seed,
-            transactions=self.transactions,
-            addresses=self.addresses,
-        )
-
-    def make(self) -> Tuple[MemorySystem, RunOutcome]:
-        """A fresh crashed system (plus outcome) for one nested case."""
-        if self._snapshot is not None:
-            return self._snapshot.restore(), self.outcome
-        system, outcome = self._build()
-        system.crash()
-        return system, outcome
+    def make(self) -> _State:
+        """A fresh copy of the state, plus the outcome that produced it."""
+        if self._snapshot is None:
+            return self._build()
+        return self._snapshot.restore(), self._outcome
 
 
-class _QuiescedFactory:
-    """Reproduces the completed-workload machine for the GC phases."""
+def _crashed(cases: CrashCases, faults: FaultConfig) -> _State:
+    """The machine after the trace ran under ``faults`` and crashed."""
+    system, outcome = cases.crashed_at(faults)
+    system.crash()
+    return system, outcome
 
-    def __init__(
-        self,
-        scheme: str,
-        faults: FaultConfig,
-        *,
-        seed: int,
-        transactions: int,
-        addresses: int,
-    ) -> None:
-        self.scheme = scheme
-        self.faults = faults
-        self.seed = seed
-        self.transactions = transactions
-        self.addresses = addresses
-        self._snapshot = None
-        self.outcome: Optional[RunOutcome] = None
-        self.base_writes = 0
-        system, outcome = self._build()
-        self.outcome = outcome
-        self.base_writes = system.device.stats.writes
-        if snapshots_enabled():
-            self._snapshot = capture(system)
 
-    def _build(self) -> Tuple[MemorySystem, RunOutcome]:
-        system, outcome = build_crashed_cold(
-            self.scheme,
-            self.faults,
-            seed=self.seed,
-            transactions=self.transactions,
-            addresses=self.addresses,
-        )
-        assert not outcome.power_lost
-        return system, outcome
-
-    def make(self) -> Tuple[MemorySystem, RunOutcome]:
-        """A fresh completed-workload system, GC not yet run."""
-        if self._snapshot is not None:
-            return self._snapshot.restore(), self.outcome
-        return self._build()
+def _completed(cases: CrashCases, clean: FaultConfig) -> _State:
+    """The machine after the whole trace ran, GC not yet forced."""
+    system, outcome = cases.crashed_at(clean)
+    assert not outcome.power_lost
+    return system, outcome
 
 
 # -- the sweep ----------------------------------------------------------------
@@ -475,7 +398,7 @@ def nested_sweep_scheme(
     idempotence_k: int = 2,
     artifact_dir: Optional[str] = None,
     state: Optional[SweepState] = None,
-    max_new_cases: int = 0,
+    max_new_cases: Optional[int] = None,
     progress=None,
 ) -> NestedSweepResult:
     """Run the nested-fault sweep for one scheme.
@@ -489,64 +412,39 @@ def nested_sweep_scheme(
     extra crash+recover cycles for bit-identical durable state.
 
     ``state`` (a :class:`SweepState`) makes the sweep resumable;
-    ``max_new_cases`` (>0) stops after that many fresh verdicts by
-    raising through — callers treat it as a clean early exit.
+    ``max_new_cases`` (``None`` = unlimited) stops the sweep before its
+    next fresh verdict once that many were computed, and sets
+    ``result.exhausted`` — callers treat it as a clean early exit.
     """
-    result, _ = _nested_sweep_counted(
-        scheme,
-        seed=seed,
-        transactions=transactions,
-        addresses=addresses,
+    require_at_least(
+        0,
         forward_sample=forward_sample,
         nested_sample=nested_sample,
         gc_sample=gc_sample,
-        torn_mode=torn_mode,
-        recovery_threads=recovery_threads,
-        idempotence_k=idempotence_k,
-        artifact_dir=artifact_dir,
-        state=state,
-        budget=[max_new_cases] if max_new_cases > 0 else None,
-        progress=progress,
     )
-    return result
+    trace = workload_trace(
+        seed, transactions=transactions, addresses=addresses
+    )
+    cases = CrashCases(scheme, trace)
+    total = cases.probe(seed=seed, cadence=max(1, transactions // 8))
+    result = NestedSweepResult(scheme=scheme, total_writes=total)
+    fresh = 0
 
-
-def _nested_sweep_counted(
-    scheme: str,
-    *,
-    seed: int,
-    transactions: int,
-    addresses: int,
-    forward_sample: int,
-    nested_sample: int,
-    gc_sample: int,
-    torn_mode: str,
-    recovery_threads: int,
-    idempotence_k: int,
-    artifact_dir: Optional[str],
-    state: Optional[SweepState],
-    budget: Optional[List[int]],
-    progress=None,
-) -> Tuple[NestedSweepResult, bool]:
-    """Sweep body; returns ``(result, exhausted)``.
-
-    ``budget`` is a shared one-element countdown of new verdicts across
-    schemes (``None`` = unlimited); ``exhausted`` reports whether it ran
-    out mid-sweep (the CLI's ``--max-cases`` smoke/resume hook).
-    """
-
-    def _settle(case_key: str, compute) -> Tuple[NestedCaseResult, bool]:
+    def _settle(case_key: str, compute) -> None:
         """Resume-aware case execution: journal hit, or compute+record."""
-        if state is not None:
-            cached = state.lookup(scheme, case_key)
-            if cached is not None:
-                return cached, True
-        if budget is not None and budget[0] <= 0:
+        nonlocal fresh
+        cached = (
+            state.lookup(scheme, case_key) if state is not None else None
+        )
+        if cached is not None:
+            result.cases.append(cached)
+            result.skipped += 1
+            return
+        if max_new_cases is not None and fresh >= max_new_cases:
             raise SweepBudgetExhausted()
         case = compute()
         assert case.key() == case_key, (case.key(), case_key)
-        if budget is not None:
-            budget[0] -= 1
+        fresh += 1
         if state is not None:
             state.record(scheme, case)
         _report_case(
@@ -560,49 +458,16 @@ def _nested_sweep_counted(
             recovery_threads=recovery_threads,
             idempotence_k=idempotence_k,
         )
-        return case, False
-
-    # Probe the forward run (and lay checkpoints when snapshots are on).
-    chain: Optional[CheckpointChain] = None
-    txns = []
-    if snapshots_enabled():
-        cadence = checkpoint_cadence(max(1, transactions // 8))
-        total, txns, chain = _probe_and_checkpoint(
-            scheme,
-            seed=seed,
-            transactions=transactions,
-            addresses=addresses,
-            cadence=cadence,
-        )
-    else:
-        total = count_write_boundaries(
-            scheme, seed=seed, transactions=transactions, addresses=addresses
-        )
-    result = NestedSweepResult(scheme=scheme, total_writes=total)
-    exhausted = False
+        result.cases.append(case)
 
     try:
         # -- phase 1: crash during recovery ---------------------------------
-        forward_boundaries = choose_boundaries(total, forward_sample, seed)
-        for boundary in forward_boundaries:
+        for boundary in choose_boundaries(total, forward_sample, seed):
             torn = _torn_for(boundary, torn_mode)
-            faults = FaultConfig(
-                enabled=True,
-                seed=seed ^ (boundary << 8),
-                power_loss_after_write=boundary,
-                torn=torn,
-            )
-            factory = _CrashedFactory(
-                scheme,
-                faults,
-                seed=seed,
-                transactions=transactions,
-                addresses=addresses,
-                chain=chain,
-                txns=txns,
-            )
+            faults = crash_plan(seed, boundary, torn)
+            crashed = _Machine(lambda faults=faults: _crashed(cases, faults))
             # Probe: ops one clean recovery performs from this state.
-            probe_sys, probe_outcome = factory.make()
+            probe_sys, _ = crashed.make()
             ops = probe_recovery_ops(probe_sys, threads=recovery_threads)
             result.recovery_ops_probed = max(result.recovery_ops_probed, ops)
             nested_boundaries: List[Optional[int]]
@@ -635,9 +500,9 @@ def _nested_sweep_counted(
                     nested_torn=nested_torn,
                     boundary=boundary,
                     torn=torn,
-                    factory=factory,
+                    crashed=crashed,
                 ):
-                    system, outcome = factory.make()
+                    system, outcome = crashed.make()
                     return run_nested_recovery_case(
                         system,
                         outcome,
@@ -650,22 +515,16 @@ def _nested_sweep_counted(
                         idempotence_k=idempotence_k,
                     )
 
-                case, from_state = _settle(probe_key, _compute)
-                result.cases.append(case)
-                result.skipped += int(from_state)
+                _settle(probe_key, _compute)
 
         # -- phase 2: crash during GC / coalescing --------------------------
+        # The probe ran this same clean plan to completion, so its write
+        # count is where the GC pass starts.
         clean = FaultConfig(enabled=True, seed=seed)
-        quiesced = _QuiescedFactory(
-            scheme,
-            clean,
-            seed=seed,
-            transactions=transactions,
-            addresses=addresses,
-        )
+        quiesced = _Machine(lambda: _completed(cases, clean))
         gc_probe, _ = quiesced.make()
         gc_probe.scheme.quiesce(gc_probe.now_ns)
-        gc_writes = gc_probe.device.stats.writes - quiesced.base_writes
+        gc_writes = gc_probe.device.stats.writes - total
         if gc_writes > 0:
             for boundary in choose_boundaries(
                 gc_writes, gc_sample, seed ^ 0x6C
@@ -677,29 +536,16 @@ def _nested_sweep_counted(
 
                 def _compute_gc(boundary=boundary, torn=torn):
                     system, outcome = quiesced.make()
-                    system.device.injector.arm_power_loss(
-                        after_writes=boundary - 1, torn=torn
-                    )
-                    try:
-                        system.scheme.quiesce(system.now_ns)
-                    except PowerLossError:
-                        pass
-                    system.crash()
-                    return run_nested_recovery_case(
+                    return _gc_case(
                         system,
                         outcome,
-                        phase="gc",
-                        forward_boundary=boundary,
-                        nested_boundary=None,
+                        gc_boundary=boundary,
                         torn=torn,
-                        nested_torn=False,
                         threads=recovery_threads,
                         idempotence_k=idempotence_k,
                     )
 
-                case, from_state = _settle(gc_key, _compute_gc)
-                result.cases.append(case)
-                result.skipped += int(from_state)
+                _settle(gc_key, _compute_gc)
 
         # -- phase 3: media-error burst during GC ---------------------------
         media_key = NestedCaseResult(
@@ -708,41 +554,89 @@ def _nested_sweep_counted(
 
         def _compute_media():
             system, outcome = quiesced.make()
-            system.device.rearm(
-                _dc_replace(
-                    clean,
-                    read_error_rate=_MEDIA_RATE,
-                    max_read_retries=_MEDIA_RETRIES,
-                )
-            )
-            failure = None
-            try:
-                system.scheme.quiesce(system.now_ns)
-            except MediaError as exc:
-                failure = f"media burst not absorbed by retries: {exc}"
-            system.crash()
-            case = run_nested_recovery_case(
+            return _gc_media_case(
                 system,
                 outcome,
-                phase="gc-media",
-                forward_boundary=None,
-                nested_boundary=None,
-                torn=False,
-                nested_torn=False,
+                _media_plan(clean),
                 threads=recovery_threads,
                 idempotence_k=idempotence_k,
             )
-            if failure is not None and case.failure is None:
-                case.failure = failure
-            return case
 
-        case, from_state = _settle(media_key, _compute_media)
-        result.cases.append(case)
-        result.skipped += int(from_state)
+        _settle(media_key, _compute_media)
     except SweepBudgetExhausted:
-        exhausted = True
+        result.exhausted = True
 
-    return result, exhausted
+    return result
+
+
+def _media_plan(clean: FaultConfig) -> FaultConfig:
+    """``clean`` plus the gc-media phase's transient-read burst."""
+    return _dc_replace(
+        clean, read_error_rate=_MEDIA_RATE, max_read_retries=_MEDIA_RETRIES
+    )
+
+
+def _gc_case(
+    system: MemorySystem,
+    outcome: RunOutcome,
+    *,
+    gc_boundary: int,
+    torn: bool,
+    threads: int,
+    idempotence_k: int,
+) -> NestedCaseResult:
+    """Cut the power at GC-relative write ``gc_boundary``, then verify."""
+    system.device.injector.arm_power_loss(
+        after_writes=gc_boundary - 1, torn=torn
+    )
+    try:
+        system.scheme.quiesce(system.now_ns)
+    except PowerLossError:
+        pass
+    system.crash()
+    return run_nested_recovery_case(
+        system,
+        outcome,
+        phase="gc",
+        forward_boundary=gc_boundary,
+        nested_boundary=None,
+        torn=torn,
+        nested_torn=False,
+        threads=threads,
+        idempotence_k=idempotence_k,
+    )
+
+
+def _gc_media_case(
+    system: MemorySystem,
+    outcome: RunOutcome,
+    media: FaultConfig,
+    *,
+    threads: int,
+    idempotence_k: int,
+) -> NestedCaseResult:
+    """Drive the GC pass under the ``media`` burst, then verify."""
+    system.device.rearm(media)
+    failure = None
+    try:
+        system.scheme.quiesce(system.now_ns)
+    except MediaError as exc:
+        failure = f"media burst not absorbed by retries: {exc}"
+    system.crash()
+    case = run_nested_recovery_case(
+        system,
+        outcome,
+        phase="gc-media",
+        forward_boundary=None,
+        nested_boundary=None,
+        torn=False,
+        nested_torn=False,
+        threads=threads,
+        idempotence_k=idempotence_k,
+    )
+    if failure is not None and case.failure is None:
+        case.failure = failure
+    return case
 
 
 def _report_case(
@@ -796,21 +690,11 @@ def nested_case_artifact(
 ) -> CrashArtifact:
     """Fault-plan artifact for one nested case (``--replay`` input)."""
     if case.phase == "gc-media":
-        faults = FaultConfig(
-            enabled=True,
-            seed=seed,
-            read_error_rate=_MEDIA_RATE,
-            max_read_retries=_MEDIA_RETRIES,
-        )
+        faults = _media_plan(FaultConfig(enabled=True, seed=seed))
     elif case.phase == "gc":
         faults = FaultConfig(enabled=True, seed=seed, torn=case.torn)
     else:
-        faults = FaultConfig(
-            enabled=True,
-            seed=seed ^ (case.forward_boundary << 8),
-            power_loss_after_write=case.forward_boundary,
-            torn=case.torn,
-        )
+        faults = crash_plan(seed, case.forward_boundary, case.torn)
     return CrashArtifact(
         scheme=scheme,
         faults=faults,
@@ -839,15 +723,18 @@ def nested_case_artifact(
 
 def replay_nested_artifact(artifact: CrashArtifact) -> NestedCaseResult:
     """Re-run one saved nested case cold; caller compares outcomes."""
+    trace = workload_trace(
+        artifact.workload_seed,
+        transactions=artifact.transactions,
+        addresses=artifact.addresses,
+    )
+    cases = CrashCases(artifact.scheme, trace)
+    tail = dict(
+        threads=artifact.recovery_threads,
+        idempotence_k=artifact.idempotence_k,
+    )
     if artifact.phase == "recovery":
-        system, outcome = build_crashed_cold(
-            artifact.scheme,
-            artifact.faults,
-            seed=artifact.workload_seed,
-            transactions=artifact.transactions,
-            addresses=artifact.addresses,
-        )
-        system.crash()
+        system, outcome = _crashed(cases, artifact.faults)
         return run_nested_recovery_case(
             system,
             outcome,
@@ -856,61 +743,33 @@ def replay_nested_artifact(artifact: CrashArtifact) -> NestedCaseResult:
             nested_boundary=artifact.nested_after_ops,
             torn=artifact.faults.torn,
             nested_torn=artifact.nested_torn,
-            threads=artifact.recovery_threads,
-            idempotence_k=artifact.idempotence_k,
+            **tail,
         )
-    if artifact.phase in ("gc", "gc-media"):
-        clean = _dc_replace(
-            artifact.faults,
-            read_error_rate=0.0,
-            max_read_retries=3,
-            power_loss_after_write=None,
+    if artifact.phase not in ("gc", "gc-media"):
+        raise ValueError(
+            f"not a nested artifact (phase={artifact.phase!r})"
         )
-        system, outcome = build_crashed_cold(
-            artifact.scheme,
-            clean,
-            seed=artifact.workload_seed,
-            transactions=artifact.transactions,
-            addresses=artifact.addresses,
-        )
-        failure = None
-        gc_boundary = None
-        if artifact.phase == "gc-media":
-            system.device.rearm(artifact.faults)
-            try:
-                system.scheme.quiesce(system.now_ns)
-            except MediaError as exc:
-                failure = f"media burst not absorbed by retries: {exc}"
-        else:
-            # The note records the boundary as GC-relative writes; the
-            # forward run is clean, so arm the residual directly.
-            for note in artifact.notes:
-                if note.startswith("gc write boundary "):
-                    gc_boundary = int(note.rsplit(" ", 1)[1])
-            if gc_boundary is None:
-                raise ValueError("gc artifact missing its boundary note")
-            system.device.injector.arm_power_loss(
-                after_writes=gc_boundary - 1, torn=artifact.faults.torn
-            )
-            try:
-                system.scheme.quiesce(system.now_ns)
-            except PowerLossError:
-                pass
-        system.crash()
-        case = run_nested_recovery_case(
-            system,
-            outcome,
-            phase=artifact.phase,
-            forward_boundary=(
-                None if artifact.phase == "gc-media" else gc_boundary
-            ),
-            nested_boundary=None,
-            torn=artifact.faults.torn if artifact.phase == "gc" else False,
-            nested_torn=False,
-            threads=artifact.recovery_threads,
-            idempotence_k=artifact.idempotence_k,
-        )
-        if failure is not None and case.failure is None:
-            case.failure = failure
-        return case
-    raise ValueError(f"not a nested artifact (phase={artifact.phase!r})")
+    clean = _dc_replace(
+        artifact.faults,
+        read_error_rate=0.0,
+        max_read_retries=3,
+        power_loss_after_write=None,
+    )
+    system, outcome = _completed(cases, clean)
+    if artifact.phase == "gc-media":
+        return _gc_media_case(system, outcome, artifact.faults, **tail)
+    # The note records the boundary as GC-relative writes; the forward
+    # run is clean, so arm the residual directly.
+    gc_boundary = None
+    for note in artifact.notes:
+        if note.startswith("gc write boundary "):
+            gc_boundary = int(note.rsplit(" ", 1)[1])
+    if gc_boundary is None:
+        raise ValueError("gc artifact missing its boundary note")
+    return _gc_case(
+        system,
+        outcome,
+        gc_boundary=gc_boundary,
+        torn=artifact.faults.torn,
+        **tail,
+    )

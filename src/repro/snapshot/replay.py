@@ -3,8 +3,10 @@
 Two consumers turn :mod:`repro.snapshot` captures into incremental
 replay:
 
-* the **crash-point sweep** (:mod:`repro.crashtest`) and the oracle's
-  crash-convergence phase (:mod:`repro.check.oracle`) lay periodic
+* the **crash-point sweep** (:mod:`repro.crashtest`), the nested
+  sweep and the oracle's crash-convergence phase
+  (:mod:`repro.check.oracle`), all through
+  :class:`repro.crashtest.CrashCases`, lay periodic
   :class:`Checkpoint` objects during a single probe run and start each
   boundary replay from :meth:`CheckpointChain.nearest` — the latest
   checkpoint at or below the boundary's write count — instead of

@@ -8,9 +8,9 @@ from repro.check.oracle import (
     ORACLE_SCHEMES,
     build_system,
     run_check_matrix,
-    run_trace,
 )
 from repro.check.trace import expected_state, generate_trace
+from repro.crashtest import replay
 
 
 # Three seeded workloads, per the acceptance criteria: all schemes must
@@ -25,7 +25,7 @@ def test_all_schemes_converge(seed):
     readbacks = {}
     for scheme in ORACLE_SCHEMES:
         system = build_system(scheme)
-        outcome = run_trace(system, trace)
+        outcome = replay(system, trace)
         assert not outcome.power_lost
         expected = expected_state(trace, outcome.slot_addrs)
         readbacks[scheme] = {
@@ -138,3 +138,31 @@ def test_cli_rejects_unknown_scheme():
 
     with pytest.raises(SystemExit):
         main(["--schemes", "definitely-not-a-scheme", "-q"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--slots", "0"],
+        ["--transactions", "-1"],
+        ["--crash-sample", "-1"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_cli_rejects_bad_size(argv, capsys):
+    from repro.check.__main__ import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["-q"])
+    assert exc.value.code == 2
+    assert "must be at least" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [dict(slots=0), dict(transactions=-1), dict(crash_sample=-1)],
+    ids=str,
+)
+def test_matrix_rejects_bad_size(kwargs):
+    with pytest.raises(ValueError, match="must be at least"):
+        run_check_matrix(["hoop"], **kwargs)

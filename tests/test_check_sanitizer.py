@@ -3,7 +3,7 @@
 import pytest
 
 from repro.check.mutant import MUTANT_SCHEME
-from repro.check.oracle import REAL_SCHEMES, build_system, run_trace
+from repro.check.oracle import REAL_SCHEMES, build_system
 from repro.check.sanitizer import (
     DISCIPLINES,
     NULL_CHECKER,
@@ -11,12 +11,13 @@ from repro.check.sanitizer import (
     rules_for,
 )
 from repro.check.trace import expected_state, generate_trace
+from repro.crashtest import replay
 
 
 def _sanitized_run(scheme, trace):
     sanitizer = PersistOrderSanitizer()
     system = build_system(scheme, checker=sanitizer)
-    outcome = run_trace(system, trace)
+    outcome = replay(system, trace)
     return sanitizer, system, outcome
 
 
@@ -63,7 +64,7 @@ def test_checker_attach_is_bit_identical(scheme):
     """--check must not perturb results: same bytes, same clocks."""
     trace = generate_trace(11, transactions=20, slots=6, cores=4)
     plain = build_system(scheme)
-    run_trace(plain, trace)
+    replay(plain, trace)
     _, checked, _ = _sanitized_run(scheme, trace)
     assert (
         plain.device.content_fingerprint()

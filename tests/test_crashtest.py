@@ -8,9 +8,13 @@ single-threaded recovery under the same fault plan, including plans
 that tear the commit-log tail.
 """
 
+import hashlib
+
 import pytest
 
 from repro import FaultConfig, crashtest
+from repro.crashtest.__main__ import main as crashtest_main
+from repro.crashtest.nested import nested_sweep_scheme
 from repro.faults.plan import (
     CrashArtifact,
     load_artifact,
@@ -21,12 +25,15 @@ from repro.faults.plan import (
 
 
 def _plan(boundary, *, seed=7, torn=False):
-    return FaultConfig(
-        enabled=True,
-        seed=seed ^ (boundary << 8),
-        power_loss_after_write=boundary,
-        torn=torn,
+    return crashtest.crash_plan(seed, boundary, torn)
+
+
+def _probe(scheme, *, seed, transactions, addresses):
+    """Timed writes of the fault-free workload (the boundary count)."""
+    trace = crashtest.workload_trace(
+        seed, transactions=transactions, addresses=addresses
     )
+    return crashtest.CrashCases(scheme, trace).probe(seed=seed, cadence=0)
 
 
 class TestBoundaries:
@@ -43,12 +50,8 @@ class TestBoundaries:
         assert len(a) <= 22
 
     def test_probe_counts_are_stable(self):
-        w1 = crashtest.count_write_boundaries(
-            "hoop", seed=7, transactions=20, addresses=8
-        )
-        w2 = crashtest.count_write_boundaries(
-            "hoop", seed=7, transactions=20, addresses=8
-        )
+        w1 = _probe("hoop", seed=7, transactions=20, addresses=8)
+        w2 = _probe("hoop", seed=7, transactions=20, addresses=8)
         assert w1 == w2 > 0
 
 
@@ -70,10 +73,10 @@ class TestCaseDeterminism:
 
 class TestVerifier:
     def test_detects_lost_committed_word(self):
-        kwargs = dict(seed=7, transactions=30, addresses=8)
-        faults = _plan(20)
-        system = crashtest._build_system("hoop", faults)
-        outcome = crashtest.run_workload(system, **kwargs)
+        trace = crashtest.workload_trace(7, transactions=30, addresses=8)
+        system, outcome = crashtest.CrashCases("hoop", trace).crashed_at(
+            _plan(20)
+        )
         system.crash()
         system.recover(threads=2)
         assert (
@@ -100,7 +103,7 @@ class TestParallelRecovery:
         commit-log tail mid-flush (torn=True sweeps every boundary, so
         commit-log writes are among the fatal ones)."""
         kwargs = dict(seed=7, transactions=30, addresses=8)
-        total = crashtest.count_write_boundaries("hoop", **kwargs)
+        total = _probe("hoop", **kwargs)
         boundaries = crashtest.choose_boundaries(total, 12, seed=3)
         for boundary in boundaries:
             plan = _plan(boundary, torn=torn)
@@ -185,3 +188,82 @@ class TestSweep:
         assert result.cases
         assert not result.failures
         assert not list(tmp_path.iterdir())  # no artifacts on success
+
+
+# SHA-256 of the seed-7 workload (80 transactions over 12 addresses),
+# one line per transaction: "core:addr=value,..." with every store in
+# order, duplicates kept.  Recorded from the sweep's original workload
+# generator; any change to its draw order changes this digest.
+_WORKLOAD_SHA256 = (
+    "d0de6bf8a6bfc93a6a663522dbc78d1598cf78cf87f9f32be2b3a19173610a27"
+)
+
+
+class TestWorkload:
+    def test_seeded_workload_is_pinned(self):
+        trace = crashtest.workload_trace(7, transactions=80, addresses=12)
+        system = crashtest._build_system("hoop", FaultConfig())
+        addrs = crashtest.replay(system, trace).slot_addrs
+        text = "\n".join(
+            f"{txn.core}:"
+            + ",".join(
+                f"{addrs[s.slot] + 8 * s.offset:x}="
+                f"{s.value.to_bytes(8, 'little').hex()}"
+                for s in txn.stores
+            )
+            for txn in trace.txns
+        )
+        assert hashlib.sha256(text.encode()).hexdigest() == _WORKLOAD_SHA256
+
+
+class TestSizeValidation:
+    """Sizes the sweeps cannot run are refused before any work."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--addresses", "0"],
+            ["--nested", "--addresses", "0"],
+            ["--transactions", "-3"],
+            ["--nested", "--transactions", "0"],
+            ["--sample", "-2"],
+            ["--nested", "--forward-sample", "-1"],
+            ["--nested", "--nested-sample", "-1"],
+            ["--nested", "--gc-sample", "-1"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_cli_rejects_bad_size(self, argv, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            crashtest_main(argv + ["--artifact-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "must be at least" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(addresses=0),
+            dict(transactions=-3),
+            dict(sample=-2),
+        ],
+        ids=str,
+    )
+    def test_sweep_rejects_bad_size(self, kwargs):
+        with pytest.raises(ValueError, match="must be at least"):
+            crashtest.sweep_scheme("hoop", **kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(addresses=0),
+            dict(transactions=0),
+            dict(forward_sample=-1),
+            dict(nested_sample=-1),
+            dict(gc_sample=-1),
+        ],
+        ids=str,
+    )
+    def test_nested_sweep_rejects_bad_size(self, kwargs):
+        with pytest.raises(ValueError, match="must be at least"):
+            nested_sweep_scheme("hoop", **kwargs)

@@ -18,14 +18,20 @@ import pytest
 
 from repro.common.config import FaultConfig
 from repro.common.errors import PowerLossError
-from repro.crashtest import build_crashed_cold, verify_atomic_durability
+from repro.crashtest import (
+    CrashCases,
+    verify_atomic_durability,
+    workload_trace,
+)
 from repro.crashtest.nested import (
     NESTED_SCHEMES,
     SweepState,
     check_idempotence,
     converge_recovery,
+    nested_case_artifact,
     nested_sweep_scheme,
     probe_recovery_ops,
+    replay_nested_artifact,
     run_nested_recovery_case,
     sweep_params,
 )
@@ -43,9 +49,8 @@ def _crashed(scheme: str, boundary: int = 15, *, torn: bool = True):
     faults = FaultConfig(
         enabled=True, seed=11, power_loss_after_write=boundary, torn=torn
     )
-    system, outcome = build_crashed_cold(
-        scheme, faults, seed=7, transactions=_TXNS, addresses=_ADDRS
-    )
+    trace = workload_trace(7, transactions=_TXNS, addresses=_ADDRS)
+    system, outcome = CrashCases(scheme, trace).crashed_at(faults)
     system.crash()
     return system, outcome
 
@@ -176,6 +181,29 @@ class TestNestedSweep:
         assert [c.to_dict() for c in resumed.cases] == [
             c.to_dict() for c in cold.cases
         ]
+
+    def test_artifacts_replay_to_the_sweep_verdicts(self):
+        """One case per phase, saved and replayed cold, matches the
+        verdict the (checkpointed) sweep computed for it."""
+        kwargs = dict(seed=7, transactions=_TXNS, addresses=_ADDRS)
+        result = nested_sweep_scheme(
+            "hoop",
+            forward_sample=2,
+            nested_sample=2,
+            gc_sample=2,
+            idempotence_k=1,
+            **kwargs,
+        )
+        first = {}
+        for case in result.cases:
+            first.setdefault(case.phase, case)
+        assert set(first) == {"recovery", "gc", "gc-media"}
+        for case in first.values():
+            artifact = nested_case_artifact(
+                "hoop", case, idempotence_k=1, **kwargs
+            )
+            replayed = replay_nested_artifact(artifact)
+            assert replayed.to_dict() == case.to_dict(), case.phase
 
     def test_resume_rejects_mismatched_params(self, tmp_path):
         params = sweep_params(

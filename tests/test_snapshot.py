@@ -17,7 +17,7 @@ import pytest
 
 from repro import FaultConfig, crashtest, snapshot
 from repro.check import fuzz
-from repro.check.oracle import build_system, run_check_matrix
+from repro.check.oracle import REAL_SCHEMES, build_system, run_check_matrix
 from repro.check.sanitizer import PersistOrderSanitizer
 from repro.check.trace import generate_trace
 from repro.common.errors import PowerLossError
@@ -196,13 +196,14 @@ class TestIncrementalSweepEquivalence:
         # The exhaustive sweep above includes every write boundary, so
         # proving some boundary coincides with a checkpoint's write
         # count shows the zero-residual edge was exercised end to end.
-        total, _txns, chain = crashtest._probe_and_checkpoint(
-            "hoop",
-            seed=self.KWARGS["seed"],
+        trace = crashtest.workload_trace(
+            self.KWARGS["seed"],
             transactions=self.KWARGS["transactions"],
             addresses=self.KWARGS["addresses"],
-            cadence=2,
         )
+        cases = crashtest.CrashCases("hoop", trace)
+        total = cases.probe(seed=self.KWARGS["seed"], cadence=2)
+        chain = cases.checkpoints
         assert len(chain) > 1
         exact = [
             boundary
@@ -213,10 +214,11 @@ class TestIncrementalSweepEquivalence:
 
     def test_oracle_matrix_matches_cold(self, monkeypatch):
         kwargs = dict(seed=7, transactions=10, slots=6, crash_sample=5)
+        schemes = list(REAL_SCHEMES)
         monkeypatch.setenv("REPRO_SNAPSHOT_DISABLE", "1")
-        cold = run_check_matrix(["hoop", "opt-undo"], **kwargs)
+        cold = run_check_matrix(schemes, **kwargs)
         monkeypatch.delenv("REPRO_SNAPSHOT_DISABLE")
-        incremental = run_check_matrix(["hoop", "opt-undo"], **kwargs)
+        incremental = run_check_matrix(schemes, **kwargs)
         assert incremental.render() == cold.render()
         assert cold.ok and incremental.ok
 
@@ -258,15 +260,6 @@ class TestEnvKnobs:
         for value in ("1", "true"):
             monkeypatch.setenv("REPRO_SNAPSHOT_DISABLE", value)
             assert not snapshot.snapshots_enabled()
-
-    def test_cadence_override(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SNAPSHOT_CADENCE", raising=False)
-        assert snapshot.checkpoint_cadence(8) == 8
-        monkeypatch.setenv("REPRO_SNAPSHOT_CADENCE", "3")
-        assert snapshot.checkpoint_cadence(8) == 3
-        for bogus in ("0", "-2", "nope"):
-            monkeypatch.setenv("REPRO_SNAPSHOT_CADENCE", bogus)
-            assert snapshot.checkpoint_cadence(8) == 8
 
 
 class TestCloneRoundTrip:

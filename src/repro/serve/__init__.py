@@ -211,33 +211,49 @@ def run_serve(
 ) -> ServeReport:
     """Build a cluster from ``cfg``, run it to completion, report.
 
-    Pass a :class:`~repro.telemetry.hub.Telemetry` hub to keep it (for
-    Perfetto export of the serve track); otherwise the cluster makes
+    Pass a :class:`~repro.telemetry.hub.Telemetry` hub to keep the
+    run's serve telemetry (per-shard histograms, the replication-lag
+    series, admission and failover events); otherwise the cluster makes
     its own, and the report carries the latency digests either way.
+    Every count is summed from the shard executors in shard order.
     """
     cluster = ServeCluster(cfg, telemetry=telemetry)
     cluster.run()
     hub = cluster.telemetry
-    makespan = cluster.last_completion_ns
-    acked = cluster.acked_puts + cluster.acked_gets
+    executors = cluster.executors
+    groups = [executor.group for executor in executors]
+
+    def total(attribute: str) -> int:
+        return sum(getattr(executor, attribute) for executor in executors)
+
+    makespan = max(executor.last_completion_ns for executor in executors)
+    acked_puts = total("acked_puts")
+    acked_gets = total("acked_gets")
+    acked = acked_puts + acked_gets
     committed = sum(
         replica.system.committed_transactions
-        for group in cluster.groups.values()
+        for group in groups
         for replica in group.replicas
     )
+    rejected: Dict[str, int] = {}
+    oracle_failures: List[str] = []
     # The report's latency digest merges the per-shard single-writer
     # histograms in shard order, so its float total and mean are the
     # same whatever epoch quantum drove the run.
     latency = Log2Histogram()
     per_shard = {}
-    for shard_id, group in sorted(cluster.groups.items()):
+    for executor in executors:
+        shard_id, group = executor.shard_id, executor.group
+        for kind, count in executor.admission.rejections.items():
+            rejected[kind] = rejected.get(kind, 0) + count
+        oracle_failures.extend(executor.oracle_failures)
         shard_hist = hub.hist(f"shard{shard_id}/request_latency_ns")
         latency.merge(shard_hist)
         per_shard[str(shard_id)] = {
             "acked": group.acked,
             "kills": group.kills,
             "recoveries": group.recoveries,
-            "queue_depth": cluster.queue_depth(shard_id),
+            "queue_depth": executor.admission.depth(),
             "latency": shard_hist.summary(),
             "epoch": group.epoch,
             "primary": group.primary_index,
@@ -246,31 +262,28 @@ def run_serve(
     if cfg.replicas > 0:
         replication = {
             "records_shipped": float(
-                sum(
-                    max(r.shipped_seq for r in g.replicas)
-                    for g in cluster.groups.values()
-                )
+                sum(max(r.shipped_seq for r in g.replicas) for g in groups)
             ),
             "records_reconciled": float(
-                sum(g.reconciled_records for g in cluster.groups.values())
+                sum(g.reconciled_records for g in groups)
             ),
         }
     return ServeReport(
         scheme=cfg.scheme,
         shards=cfg.shards,
-        offered=cluster.offered,
-        admitted=cluster.admitted,
-        rejected=dict(sorted(cluster.rejections.items())),
-        retried=cluster.retried,
-        shed_on_failover=cluster.shed_on_failover,
-        acked_puts=cluster.acked_puts,
-        acked_gets=cluster.acked_gets,
-        batches=cluster.batches,
-        kills=sum(g.kills for g in cluster.groups.values()),
-        recoveries=sum(g.recoveries for g in cluster.groups.values()),
-        oracle_acked_puts=cluster.oracle_acked_puts,
-        oracle_verifications=cluster.oracle_verifications,
-        oracle_failures=list(cluster.oracle_failures),
+        offered=total("offered"),
+        admitted=total("admitted"),
+        rejected=dict(sorted(rejected.items())),
+        retried=total("retried"),
+        shed_on_failover=total("shed_on_failover"),
+        acked_puts=acked_puts,
+        acked_gets=acked_gets,
+        batches=total("batches"),
+        kills=sum(g.kills for g in groups),
+        recoveries=sum(g.recoveries for g in groups),
+        oracle_acked_puts=sum(e.oracle.acked_puts for e in executors),
+        oracle_verifications=sum(e.oracle.verifications for e in executors),
+        oracle_failures=oracle_failures,
         committed_transactions=committed,
         makespan_ns=makespan,
         requests_per_s=(acked * 1e9 / makespan) if makespan > 0 else 0.0,
@@ -280,10 +293,10 @@ def run_serve(
         latency=latency.summary(),
         per_shard=per_shard,
         replicas=cfg.replicas,
-        promotions=sum(g.promotions for g in cluster.groups.values()),
-        rejoins=sum(g.rejoins for g in cluster.groups.values()),
-        backup_kills=cluster.backup_kills,
-        divergence_checks=cluster.divergence_checks,
+        promotions=sum(g.promotions for g in groups),
+        rejoins=sum(g.rejoins for g in groups),
+        backup_kills=total("backup_kills"),
+        divergence_checks=total("divergence_checks"),
         replication=replication,
     )
 

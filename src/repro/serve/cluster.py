@@ -4,11 +4,14 @@ One :class:`ServeCluster` owns N replication groups (each a
 :class:`~repro.serve.replica.ReplicationGroup`: one primary plus R
 backups, every replica a full :class:`~repro.txn.system.MemorySystem`
 running the configured persistence scheme on a fault-injectable NVM
-device), the consistent-hash router, open-loop clients, and — per
-shard — a :class:`~repro.serve.shard.ShardExecutor` bundling the
-shard's admission queue, batch policy, acked-write oracle slice, and
-failover state machines.  Everything runs in *simulated* time and a
-run is a pure function of the config and seed.
+device, run untraced), the consistent-hash router, open-loop clients,
+and — per shard — a :class:`~repro.serve.shard.ShardExecutor`
+bundling the shard's admission queue, batch policy, acked-write
+oracle, and failover state machines.  Everything runs in *simulated*
+time and a run is a pure function of the config and seed.  The
+cluster's telemetry hub holds serve data only: the per-shard latency,
+queue-depth and batch-size histograms, the replication-lag series, and
+the admission and failover events.
 
 The cluster does not pop individual events; :meth:`ServeCluster.run`
 drives lock-step *epochs*: each round it computes the next global event
@@ -21,10 +24,9 @@ and each shard's internal event order is a total order independent of
 epoch boundaries, the quantum never changes a byte of the report.
 
 Failover semantics (armed deadline power cuts, crash/recover/verify,
-lease-expiry promotion, rejoin catch-up, divergence fingerprints) are
-unchanged from PR 8 and live in :class:`~repro.serve.shard.ShardExecutor`;
-the legacy ``UP``/``RECOVERING`` names remain part of the telemetry
-and report vocabulary.
+lease-expiry promotion, rejoin catch-up, divergence fingerprints) live
+in :class:`~repro.serve.shard.ShardExecutor`, and so does every count
+a report sums: the cluster keeps no aggregate of its own.
 """
 
 from __future__ import annotations
@@ -34,19 +36,10 @@ from typing import Dict, List, Optional
 
 from repro.common.errors import ConfigError
 from repro.serve.client import ArrivalStream, make_clients
-from repro.serve.replica import (
-    GROUP_RECOVERING,
-    GROUP_UP,
-    ReplicationGroup,
-)
+from repro.serve.replica import ReplicationGroup
 from repro.serve.router import ConsistentHashRouter
 from repro.serve.shard import ShardExecutor
 from repro.telemetry.hub import Telemetry
-
-# Legacy shard lifecycle names (PR 7); group states superseded them but
-# the strings are part of the telemetry/report vocabulary.
-UP = GROUP_UP
-RECOVERING = GROUP_RECOVERING
 
 # Default lock-step quantum past each global horizon, simulated µs.
 EPOCH_US = 1000.0
@@ -61,8 +54,10 @@ class ServeCluster:
         shard_ids = list(range(cfg.shards))
         self.router = ConsistentHashRouter(shard_ids, seed=cfg.seed)
         partition = self.router.partition(cfg.keyspace)
-        self.executors: Dict[int, ShardExecutor] = {
-            shard_id: ShardExecutor(
+        # One executor per shard, indexed by shard id: list order is the
+        # canonical shard order every sum and merge follows.
+        self.executors: List[ShardExecutor] = [
+            ShardExecutor(
                 cfg,
                 ReplicationGroup(
                     shard_id,
@@ -70,7 +65,6 @@ class ServeCluster:
                     keys=partition[shard_id],
                     value_bytes=cfg.value_bytes,
                     seed=cfg.seed,
-                    telemetry=self.telemetry,
                     replicas=cfg.replicas,
                     recovery_threads=cfg.recovery_threads,
                     lease_ns=cfg.lease_us * 1e3,
@@ -79,7 +73,7 @@ class ServeCluster:
                 telemetry=self.telemetry,
             )
             for shard_id in shard_ids
-        }
+        ]
         self.epochs = 0
 
     # -- structure ------------------------------------------------------------
@@ -88,13 +82,8 @@ class ServeCluster:
     def groups(self) -> Dict[int, ReplicationGroup]:
         """The replication groups by shard id (through the executors)."""
         return {
-            shard_id: executor.group
-            for shard_id, executor in self.executors.items()
+            executor.shard_id: executor.group for executor in self.executors
         }
-
-    def sorted_executors(self) -> List[ShardExecutor]:
-        """Executors in shard-id order — the canonical merge order."""
-        return [self.executors[sid] for sid in sorted(self.executors)]
 
     # -- the run --------------------------------------------------------------
 
@@ -120,7 +109,7 @@ class ServeCluster:
             seed=cfg.seed,
         )
         stream = ArrivalStream(clients, self.router)
-        executors = self.sorted_executors()
+        executors = self.executors
         for executor in executors:
             executor.arm_kills()
         epochs = 0
@@ -132,118 +121,12 @@ class ServeCluster:
             if floor_ns == math.inf:
                 break  # no arrivals left, every shard heap drained
             horizon = floor_ns + quantum_ns
-            arrivals: Dict[int, list] = {}
             for request in stream.take_until(horizon):
-                arrivals.setdefault(request.shard, []).append(request)
+                executors[request.shard].submit(request)
             epochs += 1
             for executor in executors:
-                for request in arrivals.get(executor.shard_id, ()):
-                    executor.submit(request)
                 executor.advance_to(horizon)
         self.epochs = epochs
         if cfg.verify_final:
             for executor in executors:
                 executor.final_verify()
-
-    # -- aggregates (summed over executors in shard order) ---------------------
-
-    def _sum(self, attribute: str) -> int:
-        return sum(
-            getattr(executor, attribute)
-            for executor in self.sorted_executors()
-        )
-
-    @property
-    def offered(self) -> int:
-        """Requests offered across all shards."""
-        return self._sum("offered")
-
-    @property
-    def admitted(self) -> int:
-        """Requests admitted across all shards."""
-        return self._sum("admitted")
-
-    @property
-    def acked_puts(self) -> int:
-        """Acknowledged PUTs across all shards."""
-        return self._sum("acked_puts")
-
-    @property
-    def acked_gets(self) -> int:
-        """Acknowledged GETs across all shards."""
-        return self._sum("acked_gets")
-
-    @property
-    def retried(self) -> int:
-        """Requests requeued after a failed batch, across all shards."""
-        return self._sum("retried")
-
-    @property
-    def shed_on_failover(self) -> int:
-        """In-flight requests shed during failover, across all shards."""
-        return self._sum("shed_on_failover")
-
-    @property
-    def batches(self) -> int:
-        """Batches executed across all shards."""
-        return self._sum("batches")
-
-    @property
-    def primary_kills(self) -> int:
-        """Primary power cuts across all shards."""
-        return self._sum("primary_kills")
-
-    @property
-    def backup_kills(self) -> int:
-        """Backup power cuts across all shards."""
-        return self._sum("backup_kills")
-
-    @property
-    def divergence_checks(self) -> int:
-        """Divergence-oracle passes across all shards."""
-        return self._sum("divergence_checks")
-
-    @property
-    def oracle_acked_puts(self) -> int:
-        """Acked words recorded by the oracle, across all shards."""
-        return sum(
-            executor.oracle.acked_puts
-            for executor in self.sorted_executors()
-        )
-
-    @property
-    def oracle_verifications(self) -> int:
-        """Oracle verification passes across all shards."""
-        return sum(
-            executor.oracle.verifications
-            for executor in self.sorted_executors()
-        )
-
-    @property
-    def oracle_failures(self) -> List[str]:
-        """Every shard's oracle failures, concatenated in shard order."""
-        failures: List[str] = []
-        for executor in self.sorted_executors():
-            failures.extend(executor.oracle_failures)
-        return failures
-
-    @property
-    def last_completion_ns(self) -> float:
-        """The latest acknowledgement instant across all shards."""
-        executors = self.sorted_executors()
-        if not executors:
-            return 0.0
-        return max(executor.last_completion_ns for executor in executors)
-
-    @property
-    def rejections(self) -> Dict[str, int]:
-        """Admission rejections by kind, summed in shard order."""
-        merged: Dict[str, int] = {}
-        for executor in self.sorted_executors():
-            for kind, count in executor.admission.rejections.items():
-                merged[kind] = merged.get(kind, 0) + count
-        return merged
-
-    def queue_depth(self, shard_id: int) -> int:
-        """One shard's current admission-queue depth."""
-        return self.executors[shard_id].admission.depth(shard_id)

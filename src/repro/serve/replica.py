@@ -57,7 +57,6 @@ from repro.common import rng as rng_util
 from repro.common.config import FaultConfig, SystemConfig
 from repro.common.errors import PowerLossError, ReproError
 from repro.snapshot import clone_state
-from repro.telemetry.hub import Telemetry
 from repro.txn.system import MemorySystem
 
 _WORD = 8
@@ -191,7 +190,6 @@ class Replica:
         keys: Sequence[int],
         value_bytes: int,
         seed: int,
-        telemetry: Telemetry,
         log_bytes: int,
         recovery_threads: int,
     ) -> None:
@@ -206,7 +204,7 @@ class Replica:
         config = SystemConfig.small().replace(
             faults=FaultConfig(enabled=True, seed=fault_seed)
         )
-        self.system = MemorySystem(config, scheme=scheme, telemetry=telemetry)
+        self.system = MemorySystem(config, scheme=scheme)
         self.shard_id = shard_id
         self.index = index
         self.value_bytes = value_bytes
@@ -558,7 +556,6 @@ class ReplicationGroup:
         keys: Sequence[int],
         value_bytes: int,
         seed: int,
-        telemetry: Telemetry,
         replicas: int = 0,
         log_bytes: int = 1 << 20,
         recovery_threads: int = 2,
@@ -566,7 +563,6 @@ class ReplicationGroup:
         apply_every: int = 4,
     ) -> None:
         self.shard_id = shard_id
-        self.telemetry = telemetry
         self.apply_every = apply_every
         self.lease_ns = lease_ns
         log = log_bytes if replicas > 0 else 0
@@ -578,7 +574,6 @@ class ReplicationGroup:
                 keys=keys,
                 value_bytes=value_bytes,
                 seed=seed,
-                telemetry=telemetry,
                 log_bytes=log,
                 recovery_threads=recovery_threads,
             )
@@ -904,8 +899,7 @@ class ReplicationGroup:
 
 # -- snapshot declarations ----------------------------------------------------
 # A group (machines, logs, volatile mirrors, fault state) is deep state:
-# everything is copied by value when a group is cloned; only the
-# telemetry hub is shared.
+# everything is copied by value when a group is cloned.
 Replica.__snapshot_state__ = "__all__"
 ReplicationGroup.__snapshot_state__ = "__all__"
 ShipOutcome.__snapshot_state__ = "__all__"

@@ -3,7 +3,7 @@
 PR 9 split the old monolithic cluster loop in two.  A
 :class:`ShardExecutor` owns everything that is *per-shard* — the
 replication group, the shard's bounded admission queue, the batch
-policy, the acked-write oracle slice, the wake heap, and every
+policy, the acked-write oracle, the wake heap, and every
 failover/promotion/rejoin state machine — and exposes exactly the
 epoch-bounded stepping API the coordinator drives:
 
@@ -68,14 +68,12 @@ class ShardExecutor:
         self.shard_id = group.shard_id
         self.group = group
         self.telemetry = telemetry
-        self.admission = AdmissionController(
-            [self.shard_id], queue_depth=cfg.queue_depth
-        )
+        self.admission = AdmissionController(queue_depth=cfg.queue_depth)
         self.batcher = BatchScheduler(
             batch_size=cfg.batch_size,
             batch_wait_ns=cfg.batch_wait_us * 1e3,
         )
-        self.oracle = AckOracle([self.shard_id])
+        self.oracle = AckOracle(self.shard_id)
         self.now_ns = 0.0
         self.offered = 0
         self.admitted = 0
@@ -84,7 +82,6 @@ class ShardExecutor:
         self.retried = 0
         self.shed_on_failover = 0
         self.batches = 0
-        self.primary_kills = 0
         self.backup_kills = 0
         self.divergence_checks = 0
         self.oracle_failures: List[str] = []
@@ -205,11 +202,7 @@ class ShardExecutor:
             return
         self.admitted += 1
         self.telemetry.record(
-            f"shard{request.shard}/queue_depth",
-            self.admission.depth(request.shard),
-        )
-        self.telemetry.sample(
-            f"shard{request.shard}/admitted", self.now_ns
+            f"shard{request.shard}/queue_depth", self.admission.depth()
         )
 
     # -- the shard pump -------------------------------------------------------
@@ -233,7 +226,7 @@ class ShardExecutor:
             # Busy until its clock; re-pump then.
             self._wake_at(primary.clock_ns)
             return
-        queue = self.admission.queues[self.shard_id]
+        queue = self.admission.queue
         if not queue:
             return
         if self.batcher.ready(queue, self.now_ns):
@@ -247,7 +240,7 @@ class ShardExecutor:
         """One batch: GET loads, then all PUTs committed and shipped."""
         primary = group.primary
         system = primary.system
-        batch = self.batcher.take(self.admission.queues[group.shard_id])
+        batch = self.batcher.take(self.admission.queue)
         start = max(self.now_ns, primary.clock_ns)
         system.clocks[0] = start
         self.telemetry.record(f"shard{group.shard_id}/batch_size", len(batch))
@@ -293,9 +286,7 @@ class ShardExecutor:
             for request in puts:
                 request.completion_ns = completion
                 self.oracle.record_ack(
-                    group.shard_id,
-                    primary.addr_of(request.key),
-                    request.value,
+                    primary.addr_of(request.key), request.value
                 )
                 self._ack(group, request)
         for backup in outcome.dead_backups:
@@ -341,7 +332,6 @@ class ShardExecutor:
         the same machine's recovery horizon, exactly the PR 7 path.
         """
         primary = group.primary
-        self.primary_kills += 1
         self.telemetry.emit(
             self.now_ns,
             "shard_kill",
@@ -351,9 +341,7 @@ class ShardExecutor:
         recover_at = group.begin_replica_recovery(
             primary, self.now_ns, floor_ns=self.cfg.recovery_floor_ns
         )
-        failure = self.oracle.verify_shard(
-            primary.system, group.shard_id, staged
-        )
+        failure = self.oracle.verify_shard(primary.system, staged)
         if failure:
             self.oracle_failures.append(
                 f"shard {group.shard_id} after kill: {failure}"
@@ -438,7 +426,6 @@ class ShardExecutor:
             group.promote_at_ns = self.now_ns
             self._wake_at(self.now_ns)
             return
-        self.telemetry.count("serve.promotions")
         self.telemetry.emit(
             self.now_ns,
             "promotion",
@@ -466,9 +453,7 @@ class ShardExecutor:
         projections = group.live_projections()
         self._check_divergence(group, projections, "after promotion")
         failure = self.oracle.verify_replica(
-            projections[successor.index],
-            group.shard_id,
-            successor.index,
+            projections[successor.index], successor.index
         )
         if failure:
             self.oracle_failures.append(
@@ -552,7 +537,6 @@ class ShardExecutor:
         if retry_at is not None:
             self._wake_at(retry_at)
             return
-        self.telemetry.count("serve.rejoins")
         self.telemetry.emit(
             self.now_ns,
             "rejoin_complete",
@@ -595,7 +579,7 @@ class ShardExecutor:
             shard = group.primary
             shard.system.crash()
             shard.system.recover(threads=self.cfg.recovery_threads)
-            failure = self.oracle.verify_shard(shard.system, shard_id)
+            failure = self.oracle.verify_shard(shard.system)
             if failure:
                 self.oracle_failures.append(
                     f"shard {shard_id} final sweep: {failure}"
@@ -611,7 +595,7 @@ class ShardExecutor:
                 )
                 continue
             failure = self.oracle.verify_replica(
-                projections[replica.index], shard_id, replica.index
+                projections[replica.index], replica.index
             )
             if failure:
                 self.oracle_failures.append(

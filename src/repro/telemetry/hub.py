@@ -120,8 +120,8 @@ class Telemetry(NullTelemetry):
         # (throughput and write-traffic time-series).
         self.commit_series = EpochSeries(epoch_ns, max_epochs)
         self.write_traffic_series = EpochSeries(epoch_ns, max_epochs)
-        # Caller-named epoch series (e.g. per-shard admitted-request
-        # rates from repro.serve), created on first sample().
+        # Caller-named epoch series (e.g. per-shard replication lag
+        # from repro.serve), created on first sample().
         self.named_series: Dict[str, EpochSeries] = {}
 
     # -- events ---------------------------------------------------------------

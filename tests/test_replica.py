@@ -13,7 +13,6 @@ from repro.serve.replica import (
     encode_entry,
     keyspace_fingerprint,
 )
-from repro.telemetry.hub import Telemetry
 
 
 def tiny_cfg(**overrides):
@@ -35,7 +34,6 @@ def make_group(replicas=1, **overrides):
         keys=list(range(16)),
         value_bytes=64,
         seed=21,
-        telemetry=Telemetry(),
         replicas=replicas,
     )
     kwargs.update(overrides)

@@ -1,5 +1,6 @@
 """The serving layer: routing, admission, batching, failover, oracle."""
 
+import hashlib
 import json
 import re
 
@@ -20,6 +21,7 @@ from repro.serve.client import OP_GET, OP_PUT, OpenLoopClient, make_clients
 from repro.serve.cluster import EPOCH_US, ServeCluster
 from repro.serve.router import ConsistentHashRouter, stable_hash
 from repro.serve.shard import ShardExecutor
+from repro.telemetry.hub import NULL_TELEMETRY, Telemetry
 
 
 def tiny_cfg(**overrides):
@@ -84,7 +86,7 @@ class TestAdmission:
         )
 
     def test_bounded_queue_and_typed_rejections(self):
-        ctl = AdmissionController([0], queue_depth=2)
+        ctl = AdmissionController(queue_depth=2)
         ctl.admit(self._request(0, 0), recovering=False, retry_after_ns=5.0)
         ctl.admit(self._request(0, 1), recovering=False, retry_after_ns=5.0)
         with pytest.raises(QueueFullRejection) as info:
@@ -97,10 +99,10 @@ class TestAdmission:
             ctl.admit(self._request(0, 3), recovering=True,
                       retry_after_ns=9.0)
         assert ctl.rejections == {"queue_full": 1, "shard_recovering": 1}
-        assert ctl.depth(0) == 2
+        assert ctl.depth() == 2
 
     def test_failing_over_rejection_is_typed_and_wins(self):
-        ctl = AdmissionController([0], queue_depth=1)
+        ctl = AdmissionController(queue_depth=1)
         ctl.admit(self._request(0, 0), recovering=False, retry_after_ns=1.0)
         with pytest.raises(FailoverRejection) as info:
             ctl.admit(self._request(0, 1), recovering=True,
@@ -110,25 +112,25 @@ class TestAdmission:
         assert ctl.rejections == {"failing_over": 1}
 
     def test_recovering_shard_still_queues_when_room(self):
-        ctl = AdmissionController([0], queue_depth=4)
+        ctl = AdmissionController(queue_depth=4)
         ctl.admit(self._request(0), recovering=True, retry_after_ns=1.0)
-        assert ctl.depth(0) == 1
+        assert ctl.depth() == 1
 
     def test_requeue_front_restores_fifo_order(self):
-        ctl = AdmissionController([0], queue_depth=8)
+        ctl = AdmissionController(queue_depth=8)
         batch = [self._request(0, i) for i in range(3)]
         ctl.admit(self._request(0, 9), recovering=False, retry_after_ns=0.0)
         fitted = ctl.requeue_front(batch)
         assert fitted == 3
-        assert [r.seq for r in ctl.queues[0]] == [0, 1, 2, 9]
+        assert [r.seq for r in ctl.queue] == [0, 1, 2, 9]
         assert all(r.retries == 1 for r in batch)
 
     def test_requeue_front_never_overflows(self):
-        ctl = AdmissionController([0], queue_depth=2)
+        ctl = AdmissionController(queue_depth=2)
         ctl.admit(self._request(0, 9), recovering=False, retry_after_ns=0.0)
         fitted = ctl.requeue_front([self._request(0, i) for i in range(3)])
         assert fitted == 1
-        assert ctl.depth(0) == 2
+        assert ctl.depth() == 2
 
 
 class TestBatcher:
@@ -478,6 +480,69 @@ class TestShardEventLoop:
         assert report.clean
         assert report.offered > 1000 and report.batches > 100
         assert pumps <= report.offered + 2 * report.batches + 16
+
+
+# A small replicated run with a torn primary kill: 1 promotion, 1 rejoin.
+REPLICATED_KILL = dict(
+    shards=4, replicas=1, kill_primary_at_ms=2.0, torn_kill=True,
+    duration_ms=5.0,
+)
+# The event kinds ShardExecutor emits; nothing else belongs on the hub.
+SERVE_EVENT_KINDS = frozenset({
+    "serve_reject", "shard_kill", "failover_begin", "shard_recovering",
+    "backup_kill", "promotion", "shard_recovered", "rejoin_begin",
+    "rejoin_complete",
+})
+
+
+class TestServeTelemetry:
+    def test_hub_holds_only_serve_data(self):
+        hub = Telemetry()
+        cluster = ServeCluster(ServeConfig(**REPLICATED_KILL), telemetry=hub)
+        cluster.run()
+        for group in cluster.groups.values():
+            for replica in group.replicas:
+                assert replica.system.telemetry is NULL_TELEMETRY
+        assert sum(g.promotions for g in cluster.groups.values()) == 1
+        assert sum(g.rejoins for g in cluster.groups.values()) == 1
+        assert hub.dropped_events == 0
+        kinds = hub.event_counts()
+        assert set(kinds) <= SERVE_EVENT_KINDS, kinds
+        assert kinds["promotion"] == 1 and kinds["rejoin_complete"] == 1
+        assert hub.histograms
+        assert all(name.startswith("shard") for name in hub.histograms)
+        assert hub.counters == {}
+        assert all(
+            name.endswith("/replication_lag") for name in hub.named_series
+        )
+
+
+# SHA-256 of ``json.dumps(run_serve(cfg).to_dict(), sort_keys=True)``.
+# Runs are deterministic, so these pin simulated results across
+# commits; a change that alters them on purpose updates the literal
+# and says why in CHANGES.md.
+PINNED_REPORTS = [
+    (
+        REPLICATED_KILL,
+        "b04f6390af8d18d9776bd38460afe67c317e7e81c675a57d3f568a8db4143bd9",
+    ),
+    (
+        dict(shards=1, scheme="opt-redo", rate_per_s=8_000_000.0,
+             duration_ms=0.5, queue_depth=4),
+        "daeb816d720710708cbd2643cb48fb92c6c1c6d9e52bd753c5a2c2b8745a8b66",
+    ),
+]
+
+
+class TestReportPin:
+    @pytest.mark.parametrize(
+        "fields,digest", PINNED_REPORTS, ids=["replicated-kill", "overload"]
+    )
+    def test_report_bytes_are_pinned(self, fields, digest):
+        payload = json.dumps(
+            run_serve(ServeConfig(**fields)).to_dict(), sort_keys=True
+        )
+        assert hashlib.sha256(payload.encode()).hexdigest() == digest
 
 
 class TestRunBatchSurface:

@@ -267,7 +267,6 @@ class TestCloneRoundTrip:
 
     def _mid_traffic_group(self):
         from repro.serve.replica import ReplicationGroup
-        from repro.telemetry.hub import Telemetry
 
         group = ReplicationGroup(
             0,
@@ -275,7 +274,6 @@ class TestCloneRoundTrip:
             keys=list(range(16)),
             value_bytes=64,
             seed=21,
-            telemetry=Telemetry(),
             replicas=2,
             apply_every=4,
         )
